@@ -248,7 +248,7 @@ func main() {
 		logger.Info("datasets written", "dir", *exportDir)
 	}
 	if *traceOut != "" {
-		if res.BotTrace == nil {
+		if res.BotTrace.Level() == bottrace.LevelOff {
 			fatal("trace-out", fmt.Errorf("-trace-out requires a tracing level other than off"))
 		}
 		if err := writeTraceArtifacts(*traceOut, res.BotTrace); err != nil {

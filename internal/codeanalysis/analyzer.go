@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 
-	"repro/internal/obs"
 	"repro/internal/obs/journal"
 	"repro/internal/obs/trace"
 	"repro/internal/scraper"
@@ -79,11 +78,9 @@ func (az *Analyzer) resolve(ctx context.Context, link string) (*linkFlight, erro
 			return f, nil
 		}
 	}
-	linkCtx, span := obs.StartChild(ctx, "link-"+link)
-	endOp := trace.StartOpDetail(linkCtx, "codehost_fetch", link)
-	ra, err := AnalyzeLinkContext(linkCtx, az.Client, 0, link)
+	endOp := trace.StartOpDetail(ctx, "codehost_fetch", link)
+	ra, err := AnalyzeLinkContext(ctx, az.Client, 0, link)
 	endOp()
-	span.End()
 	if err != nil {
 		f.err = err
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -16,8 +16,8 @@ import (
 	"sync"
 
 	"repro/internal/htmlparse"
-	"repro/internal/obs"
 	"repro/internal/obs/journal"
+	"repro/internal/obs/trace"
 	"repro/internal/scraper"
 )
 
@@ -253,8 +253,9 @@ type AnalyzeResume struct {
 }
 
 // AnalyzeContext is Analyze with cancellation: no new link fetches
-// start after ctx is done, and in-flight fetches abort. Each analyzed
-// link runs under its own child span of any span carried by ctx.
+// start after ctx is done, and in-flight fetches abort. Each fetched
+// link records one codeanalysis bot-stage span, attributed to the first
+// bot that references it, around its codehost_fetch op.
 //
 // Links are deduplicated before fetching: many bots share a developer's
 // profile page or repository, so each unique link is resolved exactly
@@ -338,9 +339,12 @@ func AnalyzeOptionsContext(ctx context.Context, c *scraper.Client, records []*sc
 		go func(u int, link string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			linkCtx, span := obs.StartChild(ctx, "link-"+link)
+			linkCtx := trace.WithBot(ctx, jobs[links[link][0]].botID, "")
+			endStage := trace.StartStage(linkCtx)
+			endOp := trace.StartOpDetail(linkCtx, "codehost_fetch", link)
 			ra, err := AnalyzeLinkContext(linkCtx, c, 0, link)
-			span.End()
+			endOp()
+			endStage()
 			if err != nil {
 				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 					fail(err)

@@ -114,7 +114,7 @@ type ExecOptions struct {
 	StageSoftDeadline time.Duration
 	// StageRetryBudget, when positive, gives each network stage
 	// (collect, codeanalysis) its own shared retry budget of that many
-	// retries, surfaced as the trace table's "Budget left" column and
+	// retries, surfaced as the stage table's "Budget left" column and
 	// persisted across checkpoint/resume. Zero keeps the historical
 	// per-fetch pools.
 	StageRetryBudget int
@@ -126,8 +126,9 @@ type ExecOptions struct {
 // Perfetto-loadable Chrome trace, and the profile.json timing artifact
 // that seeds the steal-aware partitioner.
 type TraceOptions struct {
-	// Level selects recording depth: off (default, near-zero cost),
-	// bots (one span per bot per stage + scheduler events), or full
+	// Level selects recording depth: off (default: run-level stage
+	// spans and per-stage totals only), bots (one span per bot per
+	// stage + scheduler events), or full
 	// (adds sub-operation spans: page fetches, retries, captcha solves,
 	// invite redirects, policy audits, honeypot settles, codehost
 	// fetches).
@@ -190,12 +191,13 @@ type Options struct {
 	Checkpoint CheckpointOptions
 	// Breakers configures transport circuit breakers.
 	Breakers BreakerOptions
-	// Trace configures per-bot tracing (off by default).
+	// Trace configures per-bot tracing (off by default: stage spans
+	// and totals only).
 	Trace TraceOptions
 
-	// Obs receives every stage's counters, histograms, and pipeline
-	// traces; nil uses the process-default registry. Its text exposition
-	// is also mounted at /metrics on the listing server.
+	// Obs receives every stage's counters and histograms; nil uses the
+	// process-default registry. Its text exposition is also mounted at
+	// /metrics on the listing server.
 	Obs *obs.Registry
 	// Journal receives one correlated event per pipeline milestone (page
 	// fetched, bot discovered, policy audited, experiment settled, canary
@@ -261,13 +263,10 @@ type Results struct {
 	// Developer attribution (Table 1).
 	BotsPerDeveloper map[string]int
 
-	// Trace is the pipeline's stage-span tree; Report renders it as a
-	// per-stage timing table.
-	Trace *obs.Trace
-
-	// BotTrace is the per-bot tracer (nil when Options.Trace.Level is
-	// off): every bot-stage span, sub-operation, and scheduler event
-	// the run recorded, exportable via its WriteJSONL /
+	// BotTrace is the run's tracer, built at every level: its run-level
+	// stage spans and per-stage totals feed Report's stage table, and at
+	// levels bots and full it also holds every bot-stage span,
+	// sub-operation, and scheduler event, exportable via its WriteJSONL /
 	// WriteChromeTrace / BuildProfile methods.
 	BotTrace *bottrace.Tracer
 
@@ -599,7 +598,6 @@ type run struct {
 	a      *Auditor
 	ctx    context.Context
 	res    *Results
-	trace  *obs.Trace
 	tracer *bottrace.Tracer
 	ck     *ckptState
 
@@ -612,12 +610,11 @@ type run struct {
 	cDegraded     *obs.Counter
 }
 
-// stage opens a stage span with watchdog and journal brackets; the
-// returned func closes all three.
+// stage opens a run-level stage span with watchdog and journal
+// brackets; the returned func closes all three, stamping the span's
+// wall time on stage_completed.
 func (r *run) stage(name string) (context.Context, func()) {
-	sp := r.trace.StartSpan(name)
-	sctx := obs.ContextWithSpan(r.ctx, sp)
-	sctx = bottrace.ContextWithStage(sctx, r.tracer, name)
+	sctx := bottrace.ContextWithStage(r.ctx, r.tracer, name)
 	endRunSpan := r.tracer.StartRunSpan(name)
 	stopWatchdog := func() {}
 	if dl := r.a.opts.Exec.StageSoftDeadline; dl > 0 {
@@ -628,11 +625,10 @@ func (r *run) stage(name string) (context.Context, func()) {
 	journal.Emit(sctx, "core", journal.KindStageStarted, map[string]any{"stage": name})
 	return sctx, func() {
 		stopWatchdog()
-		endRunSpan()
-		sp.End()
+		wall := endRunSpan()
 		journal.Emit(sctx, "core", journal.KindStageCompleted, map[string]any{
 			"stage":   name,
-			"seconds": sp.Duration().Seconds(),
+			"seconds": wall.Seconds(),
 		})
 	}
 }
@@ -674,9 +670,9 @@ func retriesOf(c *scraper.Client) int {
 
 // RunAllContext executes the full Figure 1 pipeline with cancellation:
 // cancelling ctx aborts the pipeline at its next wait point and
-// returns the context's error. The run is recorded as a "pipeline"
-// trace with one span per stage, and — when a journal is configured —
-// as a stream of correlated events sharing one run ID, bracketed by
+// returns the context's error. The run's tracer records one run-level
+// span per stage, and — when a journal is configured — the run is a
+// stream of correlated events sharing one run ID, bracketed by
 // stage_started/stage_completed pairs.
 //
 // With Options.Exec.Shards >= 1 the four analysis stages run on the
@@ -684,7 +680,6 @@ func retriesOf(c *scraper.Client) int {
 // quarantines, and aggregates identical to the sequential executor on
 // the same seed.
 func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
-	trace := a.obs.StartTrace("pipeline")
 	runID := fmt.Sprintf("run-%d", time.Now().UnixNano())
 
 	// Checkpointing: load the resume snapshot (keeping its run ID so
@@ -720,7 +715,6 @@ func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 	}
 
 	res := &Results{
-		Trace:       trace,
 		RunID:       runID,
 		StageErrors: make(map[string]error),
 		Degradation: make(map[string]report.StageDegradation),
@@ -751,10 +745,11 @@ func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 		journal.Emit(ctx, "core", journal.KindRunResumed, fields)
 	}
 
-	// Per-bot tracer: sharded by the executor's worker count (the
-	// sequential executor hashes bots across the same buffer count).
+	// The run's tracer, at every level: sharded by the executor's
+	// worker count (the sequential executor hashes bots across the same
+	// buffer count).
 	tracer := a.opts.Trace.Tracer
-	if tracer == nil && a.opts.Trace.Level != bottrace.LevelOff {
+	if tracer == nil {
 		shards := a.opts.Exec.Shards
 		if shards <= 0 {
 			shards = a.opts.Scrape.Workers
@@ -767,7 +762,6 @@ func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 		a:         a,
 		ctx:       ctx,
 		res:       res,
-		trace:     trace,
 		tracer:    tracer,
 		ck:        ck,
 		scrapeRes: scrapeRes,
@@ -928,9 +922,9 @@ func (r *Results) Report(w io.Writer) {
 	}
 	fmt.Fprintf(w, "\nScraper stats: %d requests, %d throttled, %d captchas solved, %d timeouts, %d retries, %d transient retries\n",
 		r.Scraper.Requests, r.Scraper.Throttled, r.Scraper.CaptchasSolved, r.Scraper.Timeouts, r.Scraper.Retries, r.Scraper.TransientRetries)
-	if r.Trace != nil {
+	if r.BotTrace != nil {
 		fmt.Fprintln(w)
-		report.StageTimingsDegraded(w, r.Trace, r.Degradation)
+		report.StageTimings(w, r.BotTrace.StageTimings(), r.Degradation)
 	}
 	if r.Scale != nil {
 		fmt.Fprintln(w)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/listing"
 	"repro/internal/obs"
+	bottrace "repro/internal/obs/trace"
 	"repro/internal/permissions"
 	"repro/internal/vetting"
 )
@@ -245,22 +246,22 @@ func TestObservabilityAcrossPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The run is recorded as a trace with one named span per stage.
-	if res.Trace == nil {
-		t.Fatal("RunAllContext produced no trace")
+	// The run's tracer holds one run-level span per stage, each with
+	// bot-stage items behind it, even at the default level off.
+	if res.BotTrace == nil {
+		t.Fatal("RunAllContext produced no tracer")
 	}
-	sum := res.Trace.Summary()
-	names := make(map[string]bool)
-	for _, s := range sum.Spans {
-		names[s.Name] = true
+	rows := map[string]bottrace.StageTiming{}
+	for _, st := range res.BotTrace.StageTimings() {
+		rows[st.Stage] = st
 	}
 	for _, want := range []string{"collect", "traceability", "codeanalysis", "honeypot"} {
-		if !names[want] {
-			t.Errorf("trace missing stage span %q (have %v)", want, names)
+		if st, ok := rows[want]; !ok || st.Items == 0 || st.WallNS <= 0 {
+			t.Errorf("stage %q timing = %+v (present %v), want a run span with items", want, st, ok)
 		}
 	}
-	if len(sum.Spans) < 4 {
-		t.Fatalf("trace has %d stage spans, want >= 4", len(sum.Spans))
+	if _, ok := rows["vetting"]; !ok {
+		t.Error("stage table missing the vetting run span")
 	}
 
 	// Instrumented services reported into the registry.
@@ -299,7 +300,7 @@ func TestObservabilityAcrossPipeline(t *testing.T) {
 		t.Error("/metrics renders scraper_requests_total as 0")
 	}
 
-	// Report renders the per-stage timing table from the trace.
+	// Report renders the per-stage timing table from the tracer.
 	var buf bytes.Buffer
 	res.Report(&buf)
 	if out := buf.String(); !strings.Contains(out, "Stage timings") || !strings.Contains(out, "collect") {

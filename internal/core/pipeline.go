@@ -25,7 +25,6 @@ import (
 	"repro/internal/codeanalysis"
 	"repro/internal/core/sched"
 	"repro/internal/honeypot"
-	"repro/internal/obs"
 	"repro/internal/obs/journal"
 	bottrace "repro/internal/obs/trace"
 	"repro/internal/report"
@@ -79,15 +78,14 @@ type workItem struct {
 }
 
 // shardStage is one pipeline stage's shared envelope under the sharded
-// executor: its (concurrent) trace span, its watchdog-armed context,
-// and its concurrency gate.
+// executor: its watchdog-armed context, its concurrency gate, and the
+// closer of its run-level trace span.
 type shardStage struct {
 	name   string
-	span   *obs.Span
 	ctx    context.Context
 	gate   *sched.Gate
 	stop   func()
-	endRun func() // closes the stage's run-level trace span
+	endRun func() time.Duration
 }
 
 func shardImbalance(executed []int64) float64 {
@@ -129,14 +127,10 @@ func (a *Auditor) runSharded(r *run) error {
 	defer cancel(nil)
 
 	// All four stage envelopes open for the whole phase: the stages
-	// interleave over one wall-clock window, which is why their spans
-	// are marked concurrent and their soft deadlines each cover the
-	// full window.
+	// interleave over one wall-clock window, so their run spans overlap
+	// and their soft deadlines each cover the full window.
 	mkStage := func(name string, limit int) *shardStage {
-		sp := r.trace.StartSpan(name)
-		sp.MarkConcurrent()
-		sctx := obs.ContextWithSpan(pctx, sp)
-		sctx = bottrace.ContextWithStage(sctx, r.tracer, name)
+		sctx := bottrace.ContextWithStage(pctx, r.tracer, name)
 		stop := func() {}
 		if dl := a.opts.Exec.StageSoftDeadline; dl > 0 {
 			stop = watchdog(sctx, name, dl, cancel)
@@ -145,7 +139,7 @@ func (a *Auditor) runSharded(r *run) error {
 			"stage": name, "concurrent": true,
 		})
 		return &shardStage{
-			name: name, span: sp, ctx: sctx, gate: sched.NewGate(name, limit),
+			name: name, ctx: sctx, gate: sched.NewGate(name, limit),
 			stop: stop, endRun: r.tracer.StartRunSpan(name),
 		}
 	}
@@ -159,13 +153,12 @@ func (a *Auditor) runSharded(r *run) error {
 		cleanupOnce.Do(func() {
 			for _, st := range stages {
 				st.stop()
-				st.endRun()
-				st.span.End()
+				wall := st.endRun()
 				gs := st.gate.Stats()
 				journal.Emit(st.ctx, "core", journal.KindStageCompleted, map[string]any{
 					"stage":      st.name,
 					"concurrent": true,
-					"seconds":    st.span.Duration().Seconds(),
+					"seconds":    wall.Seconds(),
 					"items":      gs.Items,
 				})
 			}

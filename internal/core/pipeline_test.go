@@ -20,6 +20,7 @@ import (
 	"repro/internal/honeypot"
 	"repro/internal/obs"
 	"repro/internal/obs/journal"
+	bottrace "repro/internal/obs/trace"
 )
 
 // comparableVerdict projects a honeypot verdict onto its deterministic
@@ -400,9 +401,10 @@ func TestShardedKillResumeNoReexecution(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentTimingsReport: interleaved stages render as
-// summed span time with the explicit concurrent marker, plus the scale
-// accounting block, instead of a meaningless wall-clock sum.
+// TestShardedConcurrentTimingsReport: interleaved stages render their
+// overlapping run-span Wall beside per-stage Busy, with no concurrent
+// marker, plus the scale accounting block; and each stage's Items is
+// exactly what its scheduler gate admitted.
 func TestShardedConcurrentTimingsReport(t *testing.T) {
 	a, err := NewAuditor(Options{
 		Seed:    11,
@@ -424,11 +426,11 @@ func TestShardedConcurrentTimingsReport(t *testing.T) {
 	var buf bytes.Buffer
 	res.Report(&buf)
 	out := buf.String()
-	if !strings.Contains(out, "ms*") {
-		t.Error("report lacks the per-stage concurrent marker (ms*)")
+	if !strings.Contains(out, "| Wall ") || !strings.Contains(out, "| Busy ") {
+		t.Error("report lacks the Wall and Busy stage-table columns")
 	}
-	if !strings.Contains(out, "* concurrent stage") {
-		t.Error("report lacks the concurrent-stage footnote")
+	if strings.Contains(out, "ms*") || strings.Contains(out, "* concurrent stage") {
+		t.Error("report still carries the concurrent-stage marker")
 	}
 	if !strings.Contains(out, "Sharded executor:") {
 		t.Error("report lacks the sharded-executor scale block")
@@ -439,18 +441,16 @@ func TestShardedConcurrentTimingsReport(t *testing.T) {
 		}
 	}
 
-	// The trace itself records the four analysis stages as concurrent
-	// and the surrounding stages (vetting) as plain.
-	concurrent := map[string]bool{}
-	for _, s := range res.Trace.Summary().Spans {
-		concurrent[s.Name] = s.Concurrent
+	rows := map[string]bottrace.StageTiming{}
+	for _, st := range res.BotTrace.StageTimings() {
+		rows[st.Stage] = st
 	}
-	for _, stage := range []string{"collect", "traceability", "codeanalysis", "honeypot"} {
-		if !concurrent[stage] {
-			t.Errorf("stage %s span not marked concurrent", stage)
+	if len(res.Scale.Stages) != 4 {
+		t.Fatalf("scale block has %d gates, want 4", len(res.Scale.Stages))
+	}
+	for _, g := range res.Scale.Stages {
+		if got := rows[g.Stage].Items; int64(got) != g.Items {
+			t.Errorf("stage %s: table Items %d, gate admitted %d", g.Stage, got, g.Items)
 		}
-	}
-	if concurrent["vetting"] {
-		t.Error("vetting span wrongly marked concurrent")
 	}
 }

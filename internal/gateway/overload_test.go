@@ -238,6 +238,10 @@ func TestHeartbeatTimeoutReapsSilentSession(t *testing.T) {
 		t.Errorf("heartbeating session reaped too: %v", err)
 	}
 
+	// The reaped session journals its closure after its socket closes;
+	// Close waits for every session's teardown, so drain the server
+	// before reading the journal.
+	r.srv.Close()
 	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}

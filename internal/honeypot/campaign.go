@@ -256,13 +256,11 @@ func (cr *CampaignRunner) RunBot(ctx context.Context, i int) (v *Verdict, qerr e
 	// which executor (sequential or sharded) scheduled the experiment.
 	expEnv := cr.env
 	expEnv.Feed = corpus.Derive(int64(cr.cfg.SampleSize), int64(b.ID))
-	expCtx, span := obs.StartChild(ctx, "experiment-"+b.Name)
-	expCtx = journal.WithBot(expCtx, b.ID, b.Name)
+	expCtx := journal.WithBot(ctx, b.ID, b.Name)
 	expCtx = trace.WithBot(expCtx, b.ID, b.Name)
 	endStage := trace.StartStage(expCtx)
 	verdict, rerr := RunContext(expCtx, expEnv, cr.cfg.Experiment, sub)
 	endStage()
-	span.End()
 	if rerr != nil {
 		switch {
 		case errors.Is(rerr, context.Canceled) || errors.Is(rerr, context.DeadlineExceeded):
@@ -317,8 +315,8 @@ func (cr *CampaignRunner) Result() *CampaignResult {
 // CampaignContext runs isolated experiments over the most-voted sample
 // of an ecosystem with cancellation, mirroring the paper's 500-bot
 // study: no new experiments launch after ctx is done, and in-flight
-// experiments abort at their next wait point. Each experiment runs
-// under its own child span of any span carried by ctx.
+// experiments abort at their next wait point. Each experiment records
+// one honeypot bot-stage span on any tracer carried by ctx.
 //
 // By default a failed experiment quarantines its bot — counted,
 // journaled, skipped — and every completed verdict is kept; set

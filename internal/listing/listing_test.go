@@ -1,9 +1,11 @@
 package listing
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
@@ -178,6 +180,26 @@ func TestServerRemovedAndSlow(t *testing.T) {
 	code, _ = get(t, srv.BaseURL()+"/oauth/slow/notanumber")
 	if code != 404 {
 		t.Errorf("bad slow id status = %d", code)
+	}
+}
+
+// TestSlowRedirectHonoursCancellation: a client that gave up ends the
+// stall at once, and the abandoned handler writes no redirect.
+func TestSlowRedirectHonoursCancellation(t *testing.T) {
+	bots := sampleBots(2)
+	bots[1].InviteHealth = InviteSlow
+	srv := newServer(t, bots, AntiScrape{SlowRedirectDelay: 5 * time.Second})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodGet, "/oauth/slow/2", nil).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	start := time.Now()
+	srv.handleSlowRedirect(rec, req)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("cancelled slow redirect held its handler for %v", elapsed)
+	}
+	if loc := rec.Header().Get("Location"); loc != "" || rec.Code == http.StatusFound {
+		t.Fatalf("cancelled slow redirect still redirected (status %d, Location %q)", rec.Code, loc)
 	}
 }
 

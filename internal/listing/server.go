@@ -8,9 +8,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/htmlparse"
+	"repro/internal/obs"
 )
 
 // Server renders a Directory as a scrapeable website.
@@ -298,8 +298,11 @@ func (s *Server) handleConsent(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSlowRedirect(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/oauth/slow/")
-	// The whole point of this endpoint is the stall.
-	time.Sleep(s.guard.cfg.SlowRedirectDelay)
+	// The whole point of this endpoint is the stall — until the client
+	// gives up (the scraper's timeout), which ends the handler with it.
+	if obs.SleepContext(r.Context(), s.guard.cfg.SlowRedirectDelay) != nil {
+		return
+	}
 	bot, ok := func() (*Bot, bool) {
 		n, err := strconv.Atoi(id)
 		if err != nil {

@@ -79,10 +79,9 @@ type Snapshot struct {
 	Counters   map[string]int64            `json:"counters,omitempty"`
 	Gauges     map[string]int64            `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSummary `json:"histograms,omitempty"`
-	Traces     []TraceSummary              `json:"traces,omitempty"`
 }
 
-// Snapshot captures every metric and trace as plain data.
+// Snapshot captures every metric as plain data.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	snap := Snapshot{
@@ -105,18 +104,11 @@ func (r *Registry) Snapshot() Snapshot {
 			P99MS: float64(h.Quantile(0.99)) / float64(time.Millisecond),
 		}
 	}
-	traces := make([]*Trace, len(r.traces))
-	copy(traces, r.traces)
 	r.mu.RUnlock()
-
-	for _, t := range traces {
-		snap.Traces = append(snap.Traces, t.Summary())
-	}
 	return snap
 }
 
-// WriteJSON renders the registry snapshot (metrics and traces) as
-// indented JSON.
+// WriteJSON renders the registry snapshot as indented JSON.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -101,67 +101,6 @@ func TestHistogramStatsAndQuantile(t *testing.T) {
 	}
 }
 
-func TestSpanNesting(t *testing.T) {
-	tr := NewTrace("pipeline")
-	collect := tr.StartSpan("collect")
-	page := collect.StartSpan("page")
-	page.End()
-	bot := collect.StartSpan("bot")
-	bot.End()
-	collect.End()
-	tr.StartSpan("honeypot").End()
-
-	roots := tr.Spans()
-	if len(roots) != 2 || roots[0].Name != "collect" || roots[1].Name != "honeypot" {
-		t.Fatalf("roots = %+v", roots)
-	}
-	kids := roots[0].Children()
-	if len(kids) != 2 || kids[0].Name != "page" || kids[1].Name != "bot" {
-		t.Fatalf("children = %+v", kids)
-	}
-	sum := tr.Summary()
-	if sum.Name != "pipeline" || len(sum.Spans) != 2 {
-		t.Fatalf("summary = %+v", sum)
-	}
-	if len(sum.Spans[0].Children) != 2 {
-		t.Errorf("summary children = %+v", sum.Spans[0].Children)
-	}
-	if d := roots[0].Duration(); d < 0 {
-		t.Errorf("negative duration %v", d)
-	}
-}
-
-func TestNilSpanIsNoOp(t *testing.T) {
-	var s *Span
-	child := s.StartSpan("x")
-	if child != nil {
-		t.Error("nil span produced a child")
-	}
-	s.End()
-	if s.Duration() != 0 || s.Children() != nil {
-		t.Error("nil span not inert")
-	}
-}
-
-func TestSpanContextPlumbing(t *testing.T) {
-	tr := NewTrace("t")
-	root := tr.StartSpan("root")
-	ctx := ContextWithSpan(context.Background(), root)
-	ctx2, child := StartChild(ctx, "child")
-	if child == nil || SpanFromContext(ctx2) != child {
-		t.Fatal("child span not carried by context")
-	}
-	child.End()
-	if got := root.Children(); len(got) != 1 || got[0].Name != "child" {
-		t.Errorf("children = %+v", got)
-	}
-	// A context with no span yields a safe nil child.
-	ctx3, none := StartChild(context.Background(), "x")
-	if none != nil || SpanFromContext(ctx3) != nil {
-		t.Error("expected nil span from bare context")
-	}
-}
-
 func TestPromExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("scraper_requests_total").Add(5)
@@ -201,18 +140,18 @@ func TestPromExposition(t *testing.T) {
 	}
 }
 
-func TestJSONSnapshotIncludesTraces(t *testing.T) {
+func TestJSONSnapshotIncludesMetrics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total").Inc()
-	tr := r.StartTrace("pipeline")
-	tr.StartSpan("collect").End()
+	r.Gauge("b_live").Set(2)
+	r.Histogram("c_seconds").Observe(time.Millisecond)
 
 	var b strings.Builder
 	if err := r.WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{`"a_total": 1`, `"pipeline"`, `"collect"`} {
+	for _, want := range []string{`"a_total": 1`, `"b_live": 2`, `"c_seconds"`, `"count": 1`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("JSON snapshot missing %q\n%s", want, out)
 		}
@@ -241,48 +180,5 @@ func TestOrDefault(t *testing.T) {
 	r := NewRegistry()
 	if Or(r) != r {
 		t.Error("Or(r) did not pass through")
-	}
-}
-
-func TestConcurrentBusyMSNestedConcurrentChild(t *testing.T) {
-	tr := NewTrace("pipeline")
-	base := tr.started
-	cur := base
-	tr.now = func() time.Time { return cur }
-	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
-
-	outer := tr.StartSpan("stages")
-	outer.MarkConcurrent()
-
-	// Concurrent child: two grandchildren overlap the same 100ms
-	// window, so its wall is 100ms but its busy time is 200ms.
-	inner := outer.StartSpan("collect")
-	inner.MarkConcurrent()
-	g1 := inner.StartSpan("bot-1")
-	g2 := inner.StartSpan("bot-2")
-	cur = at(100)
-	g1.End()
-	g2.End()
-	inner.End()
-
-	// Plain sibling: 50ms of wall time.
-	sib := outer.StartSpan("code")
-	cur = at(150)
-	sib.End()
-	outer.End()
-
-	sum := tr.Summary()
-	root := sum.Spans[0]
-	if !root.Concurrent || len(root.Children) != 2 {
-		t.Fatalf("root summary = %+v", root)
-	}
-	if root.Children[0].BusyMS != 200 {
-		t.Fatalf("inner BusyMS = %v, want 200 (two overlapped 100ms bots)", root.Children[0].BusyMS)
-	}
-	// The concurrent child contributes its BusyMS (200), not its wall
-	// window (100), so the outer figure counts the overlapped
-	// grandchildren exactly once each: 200 + 50.
-	if root.BusyMS != 250 {
-		t.Fatalf("outer BusyMS = %v, want 250", root.BusyMS)
 	}
 }

@@ -25,9 +25,10 @@ func ScopeFrom(ctx context.Context) Scope {
 
 // ContextWithStage attaches a tracer and stage name to ctx — the entry
 // point each pipeline stage calls once. Returns ctx unchanged when the
-// tracer is off, so disabled tracing allocates nothing per stage.
+// tracer is nil. At LevelOff the scope still rides the context, because
+// bot-stage spans feed the stage totals at every level.
 func ContextWithStage(ctx context.Context, t *Tracer, stage string) context.Context {
-	if t.Level() == LevelOff {
+	if t == nil {
 		return ctx
 	}
 	return context.WithValue(ctx, scopeKey{}, Scope{Tracer: t, Shard: ControlShard, Stage: stage})
@@ -58,7 +59,8 @@ func WithBot(ctx context.Context, botID int, name string) context.Context {
 
 // StartStage opens the bot-stage span for the context's scope (one per
 // bot per stage — the tracing layer's unit of account) and returns its
-// closer. Recorded at level >= bots.
+// closer. Every level folds the span into the stage totals; level >=
+// bots also keeps it as an op.
 func StartStage(ctx context.Context) func() {
 	end := StartStageNamed(ctx)
 	return func() { end("") }
@@ -71,7 +73,7 @@ func StartStage(ctx context.Context) func() {
 func StartStageNamed(ctx context.Context) func(name string) {
 	s := ScopeFrom(ctx)
 	t := s.Tracer
-	if t == nil || t.level < LevelBots {
+	if t == nil {
 		return func(string) {}
 	}
 	start := t.sinceNS()

@@ -104,11 +104,12 @@ func chromeTID(shard int32) int {
 
 func usOf(ns int64) float64 { return float64(ns) / 1e3 }
 
-// laneTID spreads one shard across extra tracks when its slices
-// overlap: lane 0 is the shard's own track. Sharded runs (one worker
-// per buffer) always stay in lane 0; the sequential executor, which
-// hashes concurrent bots into buffers, spills collisions into lanes so
-// the export still nests strictly.
+// laneTID spreads one track across extra tracks when its slices
+// overlap: lane 0 is the track itself. Two things overlap on one
+// track: the sharded executor's four run-level stage spans, which share
+// one wall-clock window on the run track, and the sequential
+// executor's concurrent bots hashed into one buffer. Spill lanes keep
+// the export strictly nested in both cases.
 func laneTID(baseTID, lane int) int { return baseTID*64 + lane }
 
 // assignLanes places one track's duration slices (sorted by start,
@@ -202,8 +203,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 
-	// Track naming metadata: the run track, then each shard (and any
-	// spill lanes the sequential executor's hashing needed).
+	// Track naming metadata: the run track, then each shard, each with
+	// any spill lanes its overlapping slices needed.
 	meta := []chromeEvent{{
 		Name: "process_name", Phase: "M", PID: chromePID, TID: laneTID(0, 0),
 		Args: map[string]any{"name": "botscan pipeline " + t.RunID()},

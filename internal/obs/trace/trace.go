@@ -1,18 +1,18 @@
-// Package trace is the pipeline's per-bot distributed tracing layer:
-// one span per bot per stage plus sub-operation spans (page fetch,
-// retry attempt, captcha solve, invite redirect, policy audit, honeypot
-// settle, codehost fetch), correlated with the run/bot/experiment IDs
-// the journal carries.
+// Package trace is the pipeline's one span model: a run-level span per
+// stage, one span per bot per stage, and sub-operation spans (page
+// fetch, retry attempt, captcha solve, invite redirect, policy audit,
+// honeypot settle, codehost fetch), correlated with the run/bot/
+// experiment IDs the journal carries. The run report's stage table,
+// the journal's stage_completed seconds, the Perfetto export and
+// profile.json all read it.
 //
-// Where the obs stage-span tree serializes every span operation through
-// one trace-wide mutex — fine for four stage spans, ruinous for 20,915
-// bots — this package collects completed operations into per-shard
-// append-only buffers, sharded by the scheduler worker that produced
-// them. A worker only ever touches its own shard's mutex, so the
-// collection path is contention-free at full paper scale and bot-level
-// tracing costs low single-digit percent (see BENCH_TRACE.json). The
-// obs tree stays as the thin run-level view; everything per-bot lands
-// here.
+// Completed operations land in per-shard append-only buffers, sharded
+// by the scheduler worker that produced them. A worker only ever
+// touches its own shard's mutex, so the collection path is
+// contention-free at full paper scale and bot-level tracing costs low
+// single-digit percent (see BENCH_TRACE.json). Each buffer also keeps
+// per-stage totals (bot-stage span count and summed time), which is
+// all a bot-stage span leaves behind at LevelOff.
 //
 // Ops are recorded only when they finish, which keeps the hot path to
 // one buffered append and makes the buffers naturally crash-truncated:
@@ -30,10 +30,11 @@ import (
 type Level int
 
 const (
-	// LevelOff records nothing; every call is a near-free no-op.
+	// LevelOff keeps what the run's stage table needs and nothing
+	// per bot: the run-level stage spans and per-stage totals.
 	LevelOff Level = iota
-	// LevelBots records one span per bot per stage plus scheduler
-	// events (steals, queue depth) and run-level stage spans.
+	// LevelBots additionally records one span per bot per stage plus
+	// scheduler events (steals, queue depth).
 	LevelBots
 	// LevelFull additionally records sub-operation spans inside each
 	// bot-stage span (page fetches, retries, captcha solves, ...).
@@ -75,9 +76,8 @@ const (
 	KindInstant
 	// KindCounter is a sampled value (shard queue depth).
 	KindCounter
-	// KindRun is a run-level stage span on the control track — the
-	// same spans the obs tree shows, mirrored so the Perfetto view has
-	// the stage slices above the shard tracks.
+	// KindRun is a run-level stage span on the control track: the
+	// stage table's Wall column and the Perfetto run track.
 	KindRun
 )
 
@@ -131,12 +131,34 @@ type Op struct {
 // EndNS is the op's end offset (start for instants and counters).
 func (o Op) EndNS() int64 { return o.StartNS + o.DurNS }
 
-// shardBuf is one shard's append-only op buffer. The pad keeps hot
-// shard buffers off each other's cache lines.
+// shardBuf is one shard's append-only op buffer plus its per-stage
+// totals. The pad keeps hot shard buffers off each other's cache lines.
 type shardBuf struct {
-	mu  sync.Mutex
-	ops []Op
-	_   [64]byte
+	mu     sync.Mutex
+	ops    []Op
+	totals []stageTotal
+	_      [64]byte
+}
+
+// stageTotal is one stage's bot-stage span count and summed duration
+// within a shard buffer.
+type stageTotal struct {
+	stage  string
+	items  int
+	busyNS int64
+}
+
+// fold adds one bot-stage span to the buffer's totals. A run has four
+// stages, so a linear scan beats a map.
+func (b *shardBuf) fold(stage string, durNS int64) {
+	for i := range b.totals {
+		if b.totals[i].stage == stage {
+			b.totals[i].items++
+			b.totals[i].busyNS += durNS
+			return
+		}
+	}
+	b.totals = append(b.totals, stageTotal{stage: stage, items: 1, busyNS: durNS})
 }
 
 // Tracer collects ops into per-shard buffers. All methods are safe for
@@ -198,50 +220,44 @@ func (t *Tracer) Shards() int {
 // sinceNS is the op clock: nanoseconds since the tracer started.
 func (t *Tracer) sinceNS() int64 { return t.now().Sub(t.start).Nanoseconds() }
 
-// bufFor maps a shard (possibly ControlShard, possibly a sequential
-// executor's hash input) onto a buffer index.
-func (t *Tracer) bufFor(shard int32, botID int32) *shardBuf {
+// bufIndex maps an op's shard onto a buffer index. A worker shard is
+// its own buffer; a bot recorded without a worker identity (the
+// sequential executor) is spread across the worker buffers by ID so
+// collection still shards; anything else lands in the control buffer
+// at index Shards().
+func (t *Tracer) bufIndex(shard, botID int32) int {
 	n := len(t.bufs) - 1
 	switch {
 	case shard >= 0 && int(shard) < n:
-		return &t.bufs[shard]
-	case shard == ControlShard && botID != 0:
-		// No worker identity (the sequential executor): spread bots
-		// across the buffers by ID so collection still shards.
-		idx := int(botID) % n
-		if idx < 0 {
-			idx = -idx
-		}
-		return &t.bufs[idx]
-	default:
-		return &t.bufs[n]
-	}
-}
-
-// shardOf mirrors bufFor for the Op.Shard field actually recorded, so
-// exports and the profile see the buffer the op landed in.
-func (t *Tracer) shardOf(shard int32, botID int32) int32 {
-	n := len(t.bufs) - 1
-	switch {
-	case shard >= 0 && int(shard) < n:
-		return shard
+		return int(shard)
 	case shard == ControlShard && botID != 0:
 		idx := int(botID) % n
 		if idx < 0 {
 			idx = -idx
 		}
-		return int32(idx)
-	default:
-		return ControlShard
+		return idx
 	}
+	return n
 }
 
-// record appends one finished op to its shard buffer.
+// record appends one finished op to its shard buffer, stamping the
+// buffer it landed in as the op's shard. A bot-stage span also folds
+// into the buffer's per-stage totals; below LevelBots that fold is all
+// it leaves behind.
 func (t *Tracer) record(op Op) {
-	buf := t.bufFor(op.Shard, op.BotID)
-	op.Shard = t.shardOf(op.Shard, op.BotID)
+	idx := t.bufIndex(op.Shard, op.BotID)
+	op.Shard = ControlShard
+	if idx < len(t.bufs)-1 {
+		op.Shard = int32(idx)
+	}
+	buf := &t.bufs[idx]
 	buf.mu.Lock()
-	buf.ops = append(buf.ops, op)
+	if op.Kind == KindStage {
+		buf.fold(op.Stage, op.DurNS)
+	}
+	if op.Kind != KindStage || t.level >= LevelBots {
+		buf.ops = append(buf.ops, op)
+	}
 	buf.mu.Unlock()
 }
 
@@ -268,18 +284,68 @@ func (t *Tracer) Sample(shard int, stage, name string, value int64) {
 }
 
 // StartRunSpan opens a run-level stage span on the control track and
-// returns its closer — the Perfetto mirror of the obs stage-span tree.
-func (t *Tracer) StartRunSpan(stage string) func() {
-	if t == nil || t.level < LevelBots {
-		return noop
+// returns its closer, which records the span and reports its wall time.
+// Run spans are kept at every level.
+func (t *Tracer) StartRunSpan(stage string) func() time.Duration {
+	if t == nil {
+		return func() time.Duration { return 0 }
 	}
 	start := t.sinceNS()
-	return func() {
+	return func() time.Duration {
+		dur := t.sinceNS() - start
 		t.record(Op{
 			Shard: ControlShard, Kind: KindRun, Stage: stage, Name: stage,
-			StartNS: start, DurNS: t.sinceNS() - start,
+			StartNS: start, DurNS: dur,
 		})
+		return time.Duration(dur)
 	}
+}
+
+// StageTiming is one row of the run's stage table: a run-level stage
+// span's wall time beside the count and summed time of the bot-stage
+// spans recorded under the same stage.
+type StageTiming struct {
+	Stage  string
+	WallNS int64
+	BusyNS int64
+	Items  int
+}
+
+// StageTimings returns one row per run-level stage span, in start
+// order. Busy and Items come from the per-shard totals, so the rows
+// are the same at every level.
+func (t *Tracer) StageTimings() []StageTiming {
+	if t == nil {
+		return nil
+	}
+	totals := map[string]StageTiming{}
+	var runs []Op
+	for i := range t.bufs {
+		b := &t.bufs[i]
+		b.mu.Lock()
+		for _, st := range b.totals {
+			row := totals[st.stage]
+			row.Items += st.items
+			row.BusyNS += st.busyNS
+			totals[st.stage] = row
+		}
+		if i == len(t.bufs)-1 {
+			for _, op := range b.ops {
+				if op.Kind == KindRun {
+					runs = append(runs, op)
+				}
+			}
+		}
+		b.mu.Unlock()
+	}
+	sort.SliceStable(runs, func(i, j int) bool { return runs[i].StartNS < runs[j].StartNS })
+	rows := make([]StageTiming, 0, len(runs))
+	for _, op := range runs {
+		row := totals[op.Stage]
+		row.Stage, row.WallNS = op.Stage, op.DurNS
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 // Len returns the total number of recorded ops.

@@ -63,6 +63,9 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if ops := tr.Ops(); ops != nil {
 		t.Fatalf("nil tracer recorded %d ops", len(ops))
 	}
+	if rows := tr.StageTimings(); rows != nil {
+		t.Fatalf("nil tracer reported stage timings %+v", rows)
+	}
 	// Context helpers pass through untouched without a tracer.
 	ctx := context.Background()
 	if WithBot(ctx, 7, "b") != ctx || WithWorker(ctx, 3) != ctx {
@@ -83,10 +86,30 @@ func TestLevelGating(t *testing.T) {
 		t.Fatalf("level bots recorded %d ops, want 1 (sub-ops gated)", tr.Len())
 	}
 
-	off := New("run-off", 2, LevelOff)
+	// LevelOff decorates the context, because bot-stage spans feed the
+	// stage totals at every level, but keeps no per-bot op.
+	off := newFakeTracer(2, LevelOff)
 	base := context.Background()
-	if ContextWithStage(base, off, "collect") != base {
-		t.Fatal("LevelOff must not decorate the context")
+	offCtx := ContextWithStage(base, off, "collect")
+	if offCtx == base {
+		t.Fatal("LevelOff must decorate the context so stage totals accrue")
+	}
+	StartStage(WithBot(WithWorker(offCtx, 1), 1, "bot-1"))()
+	StartStage(WithBot(WithWorker(offCtx, 0), 2, "bot-2"))()
+	StartOp(offCtx, "page_fetch")()
+	if off.Len() != 0 {
+		t.Fatalf("level off kept %d ops, want 0", off.Len())
+	}
+	if wall := off.StartRunSpan("collect")(); wall != time.Millisecond {
+		t.Fatalf("run span closer reported %v, want the fake clock's 1ms", wall)
+	}
+	rows := off.StageTimings()
+	if len(rows) != 1 || rows[0].Stage != "collect" || rows[0].Items != 2 ||
+		rows[0].BusyNS != 2*int64(time.Millisecond) || rows[0].WallNS != int64(time.Millisecond) {
+		t.Fatalf("level off stage timings %+v, want one collect row: 2 items, 2ms busy, 1ms wall", rows)
+	}
+	if ops := off.Ops(); len(ops) != 1 || ops[0].Kind != KindRun {
+		t.Fatalf("level off ops %+v, want only the run span", ops)
 	}
 }
 
@@ -148,6 +171,16 @@ func TestConcurrentHammer(t *testing.T) {
 		counts[KindRun] != wantRun {
 		t.Fatalf("kind counts %v, want stage=%d op=%d instant=%d counter=%d run=%d",
 			counts, wantStage, wantOps, wantInstants, wantCounters, wantRun)
+	}
+	// The per-shard stage totals fold the same spans exactly once.
+	rows := tr.StageTimings()
+	if len(rows) != len(stages) {
+		t.Fatalf("stage timings %+v, want one row per stage", rows)
+	}
+	for _, row := range rows {
+		if row.Items != shards*botsPer || row.BusyNS <= 0 {
+			t.Fatalf("stage %s totals %+v, want %d items", row.Stage, row, shards*botsPer)
+		}
 	}
 
 	var chrome bytes.Buffer

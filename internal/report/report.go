@@ -8,10 +8,11 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/codeanalysis"
 	"repro/internal/honeypot"
-	"repro/internal/obs"
+	"repro/internal/obs/trace"
 	"repro/internal/policygen"
 	"repro/internal/scraper"
 	"repro/internal/traceability"
@@ -28,16 +29,17 @@ type Table struct {
 // AddRow appends one row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Render writes the table, column-aligned.
+// Render writes the table, column-aligned by character count, so a
+// multi-byte cell (µs) pads like any other.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -66,11 +68,13 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
+// pad right-fills s with spaces to w characters.
 func pad(s string, w int) string {
-	if len(s) >= w {
+	n := utf8.RuneCountInString(s)
+	if n >= w {
 		return s
 	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s + strings.Repeat(" ", w-n)
 }
 
 // Figure3 renders the permission-distribution bar chart from scraped
@@ -275,68 +279,34 @@ type StageDegradation struct {
 	BudgetLeft int
 }
 
-// StageTimings renders the per-stage timing table of a pipeline trace:
-// one row per top-level span, with child-span count and mean child
-// duration where the stage fanned out (per-bot crawls, per-repo
-// analyses, per-guild experiments).
-func StageTimings(w io.Writer, tr *obs.Trace) {
-	StageTimingsDegraded(w, tr, nil)
-}
-
-// StageTimingsDegraded renders StageTimings with two extra columns —
-// Retries and Quarantined — fed from a stage-name-keyed degradation
-// map. A nil map renders the plain timing table.
-func StageTimingsDegraded(w io.Writer, tr *obs.Trace, deg map[string]StageDegradation) {
-	if tr == nil {
-		return
-	}
-	sum := tr.Summary()
-	headers := []string{"Stage", "Duration", "Children", "Mean child"}
-	if deg != nil {
-		headers = append(headers, "Retries", "Quarantined", "Budget left")
-	}
+// StageTimings renders the run's stage table from the tracer's
+// run-level spans and per-stage totals: Wall is the stage span's
+// wall-clock time, Busy the summed time of its bot-stage spans, Items
+// their count, and Mean Busy per item. The sharded executor's stages
+// share one wall-clock window, so their Wall columns overlap while Busy
+// stays per stage. Retries, Quarantined and Budget left come from the
+// stage-name-keyed degradation map; stages missing from it render "-".
+func StageTimings(w io.Writer, rows []trace.StageTiming, deg map[string]StageDegradation) {
 	t := &Table{
-		Title:   fmt.Sprintf("Stage timings (trace %q)", sum.Name),
-		Headers: headers,
+		Title:   "Stage timings",
+		Headers: []string{"Stage", "Wall", "Busy", "Items", "Mean", "Retries", "Quarantined", "Budget left"},
 	}
-	anyConcurrent := false
-	for _, s := range sum.Spans {
-		childCell, meanCell := "-", "-"
-		if n := len(s.Children); n > 0 {
-			var total float64
-			for _, c := range s.Children {
-				total += c.DurationMS
-			}
-			childCell = fmt.Sprintf("%d", n)
-			meanCell = fmt.Sprintf("%.1fms", total/float64(n))
+	for _, st := range rows {
+		busy, items, mean := "-", "-", "-"
+		if st.Items > 0 {
+			busyMS := float64(st.BusyNS) / 1e6
+			busy, items, mean = fmtMS(busyMS), fmt.Sprintf("%d", st.Items), fmtMS(busyMS/float64(st.Items))
 		}
-		// A concurrent stage shares its wall-clock window with sibling
-		// stages; its honest per-stage figure is summed span time, marked
-		// so the asterisked column is never read as sequential wall time.
-		durCell := fmt.Sprintf("%.1fms", s.DurationMS)
-		if s.Concurrent {
-			durCell = fmt.Sprintf("%.1fms*", s.BusyMS)
-			anyConcurrent = true
-		}
-		row := []string{s.Name, durCell, childCell, meanCell}
-		if deg != nil {
-			d, ok := deg[s.Name]
-			if ok {
-				budgetCell := "-"
-				if d.BudgetLeft >= 0 {
-					budgetCell = fmt.Sprintf("%d", d.BudgetLeft)
-				}
-				row = append(row, fmt.Sprintf("%d", d.Retries), fmt.Sprintf("%d", d.Quarantined), budgetCell)
-			} else {
-				row = append(row, "-", "-", "-")
+		retries, quarantined, budget := "-", "-", "-"
+		if d, ok := deg[st.Stage]; ok {
+			retries, quarantined = fmt.Sprintf("%d", d.Retries), fmt.Sprintf("%d", d.Quarantined)
+			if d.BudgetLeft >= 0 {
+				budget = fmt.Sprintf("%d", d.BudgetLeft)
 			}
 		}
-		t.AddRow(row...)
+		t.AddRow(st.Stage, fmtMS(float64(st.WallNS)/1e6), busy, items, mean, retries, quarantined, budget)
 	}
 	t.Render(w)
-	if anyConcurrent {
-		fmt.Fprintln(w, "* concurrent stage: summed per-item span time; stages interleaved, so wall clock overlaps siblings")
-	}
 }
 
 // Honeypot renders a campaign summary.

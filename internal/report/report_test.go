@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/codeanalysis"
 	"repro/internal/honeypot"
 	"repro/internal/obs/journal"
+	"repro/internal/obs/trace"
 	"repro/internal/permissions"
 	"repro/internal/scraper"
 	"repro/internal/traceability"
@@ -35,6 +37,38 @@ func TestTableAlignment(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "T") {
 		t.Errorf("missing title: %q", lines[0])
+	}
+}
+
+// TestStageTimingsPadByRunes renders the stage table with multi-byte
+// µs cells and requires every line to have the same character width.
+func TestStageTimingsPadByRunes(t *testing.T) {
+	rows := []trace.StageTiming{
+		{Stage: "collect", WallNS: 1_500_000_000, BusyNS: 12_000_000_000, Items: 400},
+		{Stage: "traceability", WallNS: 1_800_000, BusyNS: 1_600_000, Items: 284},
+		{Stage: "vetting", WallNS: 900_000},
+	}
+	deg := map[string]StageDegradation{"collect": {Retries: 3, Quarantined: 1, BudgetLeft: 7}}
+	var buf bytes.Buffer
+	StageTimings(&buf, rows, deg)
+	out := buf.String()
+	if !strings.Contains(out, "µs") {
+		t.Fatalf("fixture produced no µs cell:\n%s", out)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")[1:] // drop the title
+	if len(lines) != 5 {
+		t.Fatalf("lines = %d:\n%s", len(lines), out)
+	}
+	w := utf8.RuneCountInString(lines[0])
+	for _, ln := range lines[1:] {
+		if n := utf8.RuneCountInString(ln); n != w {
+			t.Errorf("row %q is %d characters wide, want %d", ln, n, w)
+		}
+	}
+	for _, want := range []string{"| collect      | 1500.0ms | 12.00s ", "| 400   | 30.0ms ", "| 3       | 1           | 7 ", "| vetting      | 900µs    | -  "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stage table missing %q:\n%s", want, out)
+		}
 	}
 }
 

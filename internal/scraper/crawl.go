@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"repro/internal/htmlparse"
-	"repro/internal/obs"
 	"repro/internal/obs/journal"
 	"repro/internal/obs/trace"
 	"repro/internal/permissions"
@@ -230,9 +229,7 @@ func (cr *Crawler) Settle(ctx context.Context, id int) (SettledBot, error) {
 	if out, ok, err := cr.resumed(ctx, id); err != nil || ok {
 		return out, err
 	}
-	botCtx, sp := obs.StartChild(ctx, fmt.Sprintf("bot-%d", id))
-	defer sp.End()
-	botCtx = journal.WithBot(botCtx, id, "")
+	botCtx := journal.WithBot(ctx, id, "")
 	botCtx = trace.WithBot(botCtx, id, "")
 	// The bot's display name is only known once the scrape succeeds;
 	// the named closer back-fills it onto the collect span.
@@ -347,9 +344,7 @@ func ListBotIDsContext(ctx context.Context, c *Client, maxPages int) ([]int, err
 		if maxPages > 0 && page > maxPages {
 			break
 		}
-		pageCtx, sp := obs.StartChild(ctx, fmt.Sprintf("list-page-%d", page))
-		doc, err := c.GetContext(pageCtx, fmt.Sprintf("/bots?page=%d", page))
-		sp.End()
+		doc, err := c.GetContext(ctx, fmt.Sprintf("/bots?page=%d", page))
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return ids, err

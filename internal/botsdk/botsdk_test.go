@@ -148,9 +148,16 @@ func TestReadyFieldsExposed(t *testing.T) {
 }
 
 func TestDispatchFanOutAndHandlerOrder(t *testing.T) {
+	// The server holds its events until both handlers are registered:
+	// a dispatch that arrives before its handler is dropped.
+	registered := make(chan struct{})
 	srv := newScripted(t, func(conn net.Conn, dec *json.Decoder, enc *json.Encoder) {
 		if !acceptIdentify(t, dec, enc) {
 			return
+		}
+		select {
+		case <-registered:
+		case <-time.After(5 * time.Second):
 		}
 		enc.Encode(gateway.Frame{
 			Op: gateway.OpDispatch, Type: "MESSAGE_CREATE",
@@ -180,9 +187,7 @@ func TestDispatchFanOutAndHandlerOrder(t *testing.T) {
 	sess.On("GUILD_MEMBER_ADD", func(s *Session, e Event) {
 		got <- "join:" + e.UserID
 	})
-	// Handlers may be registered after dial; events raced ahead are
-	// acceptable to lose, so redeliver expectations loosely: wait for
-	// either event with a timeout.
+	close(registered)
 	deadline := time.After(2 * time.Second)
 	seen := map[string]bool{}
 	for len(seen) < 2 {

@@ -26,8 +26,12 @@ type Reconnector struct {
 	handlers []registeredHandler
 	closed   bool
 	wakeups  int
+	// swapped is closed, then replaced, each time sess is replaced.
+	swapped chan struct{}
 
-	wg sync.WaitGroup
+	// done is closed by Close; every backoff and wait ends on it.
+	done chan struct{}
+	wg   sync.WaitGroup
 }
 
 type registeredHandler struct {
@@ -45,7 +49,8 @@ func Reconnect(addr, token string, opts Options) (*Reconnector, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reconnector{addr: addr, token: token, opts: opts, sess: sess, MaxBackoff: 2 * time.Second}
+	r := &Reconnector{addr: addr, token: token, opts: opts, sess: sess, MaxBackoff: 2 * time.Second,
+		swapped: make(chan struct{}), done: make(chan struct{})}
 	r.wg.Add(1)
 	go r.watch(sess)
 	return r, nil
@@ -80,6 +85,8 @@ func (r *Reconnector) watch(sess *Session) {
 				return
 			}
 			r.sess = next
+			close(r.swapped)
+			r.swapped = make(chan struct{})
 			for _, rh := range r.handlers {
 				next.On(rh.eventType, rh.h)
 			}
@@ -93,11 +100,27 @@ func (r *Reconnector) watch(sess *Session) {
 			go r.watch(next)
 			return
 		}
-		time.Sleep(backoff)
+		if !r.wait(backoff, nil) {
+			return
+		}
 		if backoff < r.MaxBackoff {
-			backoff *= 2
+			backoff = min(2*backoff, r.MaxBackoff)
 		}
 	}
+}
+
+// wait blocks until d has passed or ch is closed (a nil ch never is),
+// and reports false if Close came first.
+func (r *Reconnector) wait(d time.Duration, ch <-chan struct{}) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-r.done:
+		return false
+	case <-t.C:
+	case <-ch:
+	}
+	return true
 }
 
 // Session returns the current live session. It may die at any moment;
@@ -152,19 +175,11 @@ func (r *Reconnector) Do(retries int, fn func(*Session) error) error {
 			return lastErr
 		}
 		// The session died; wait briefly for the watcher to replace it.
-		deadline := time.Now().Add(3 * time.Second)
-		for time.Now().Before(deadline) {
-			r.mu.Lock()
-			replaced := r.sess != sess
-			closed := r.closed
-			r.mu.Unlock()
-			if closed {
-				return ErrReconnectorClosed
-			}
-			if replaced {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
+		r.mu.Lock()
+		closed, replaced, swapped := r.closed, r.sess != sess, r.swapped
+		r.mu.Unlock()
+		if closed || (!replaced && !r.wait(3*time.Second, swapped)) {
+			return ErrReconnectorClosed
 		}
 	}
 	return lastErr
@@ -178,6 +193,7 @@ func (r *Reconnector) Close() error {
 		return nil
 	}
 	r.closed = true
+	close(r.done)
 	sess := r.sess
 	r.mu.Unlock()
 	var err error

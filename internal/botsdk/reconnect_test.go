@@ -2,6 +2,7 @@ package botsdk
 
 import (
 	"encoding/json"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -214,4 +215,57 @@ func TestReconnectorGivesUpNeverButBacksOff(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung while reconnector was retrying")
 	}
+}
+
+// TestReconnectorCloseInterruptsBackoff stops the gateway and closes
+// the reconnector a second later, while the watcher sits in an 800 ms
+// redial backoff: Close must not wait that backoff out.
+func TestReconnectorCloseInterruptsBackoff(t *testing.T) {
+	g := newFlakyGateway(t)
+	r, err := Reconnect(g.ln.Addr().String(), "tok", Options{RequestTimeout: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.ln.Close()
+	g.drop()
+	time.Sleep(time.Second)
+	start := time.Now()
+	if err := r.Close(); err != nil && !errors.Is(err, ErrClosed) {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 200*time.Millisecond {
+		t.Errorf("Close took %v during a redial backoff, want at most 200ms", took)
+	}
+}
+
+// TestReconnectorDoReturnsOnClose closes the reconnector while Do
+// waits for a replacement session that cannot come.
+func TestReconnectorDoReturnsOnClose(t *testing.T) {
+	g := newFlakyGateway(t)
+	r, err := Reconnect(g.ln.Addr().String(), "tok", Options{RequestTimeout: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := r.Session()
+	g.ln.Close()
+	g.drop()
+	<-sess.Done()
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		time.Sleep(100 * time.Millisecond)
+		r.Close()
+	}()
+	start := time.Now()
+	err = r.Do(3, func(s *Session) error {
+		_, err := s.Send("9", "lost")
+		return err
+	})
+	if !errors.Is(err, ErrReconnectorClosed) {
+		t.Errorf("Do after Close = %v, want ErrReconnectorClosed", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Do took %v to notice Close", took)
+	}
+	<-closed
 }

@@ -2,6 +2,7 @@ package htmlparse
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -120,11 +121,35 @@ func TestSelectors(t *testing.T) {
 	if n := doc.SelectFirst("span.bot-name"); n == nil || n.Text() != "Melonian" {
 		t.Errorf("SelectFirst = %v", n)
 	}
+	// Matches come back in document order, also after '>': the inner
+	// span precedes its uncle.
+	nested := Parse(`<div><div><span>a</span></div><span>b</span></div>`)
+	var texts []string
+	for _, n := range nested.Select("div > span") {
+		texts = append(texts, n.Text())
+	}
+	if got := strings.Join(texts, ","); got != "a,b" {
+		t.Errorf(`Select("div > span") = [%s], want [a,b]`, got)
+	}
 	if _, err := doc.RequireFirst("div#nope"); err != ErrNoSuchElement {
 		t.Errorf("RequireFirst missing err = %v", err)
 	}
 	if n, err := doc.RequireFirst("title"); err != nil || n == nil {
 		t.Errorf("RequireFirst present = %v, %v", n, err)
+	}
+}
+
+// TestSelectDeepNesting runs chains that fail or match high up on a
+// 400-deep document. The matcher gives up on an element once one climb
+// runs out of ancestors; trying every combination of ancestors instead
+// would take about 10^9 steps for the failing chain.
+func TestSelectDeepNesting(t *testing.T) {
+	doc := Parse(strings.Repeat("<div>", 400))
+	if got := doc.Select("p div div div"); got != nil {
+		t.Errorf(`Select("p div div div") = %d nodes, want none`, len(got))
+	}
+	if got := len(doc.Select("div div div")); got != 398 {
+		t.Errorf(`Select("div div div") = %d nodes, want 398`, got)
 	}
 }
 
@@ -254,5 +279,74 @@ func TestAttrHelpers(t *testing.T) {
 	}
 	if !a.HasClass("red") || a.HasClass("blue") {
 		t.Error("HasClass on multi-class failed")
+	}
+}
+
+// TestEscapersConcurrent shares the package-level escapers across
+// goroutines, as the listing and code-host handlers do.
+func TestEscapersConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				if got := EscapeAttr(`a<b & "c"`); got != "a&lt;b &amp; &quot;c&quot;" {
+					t.Errorf("EscapeAttr = %q", got)
+					return
+				}
+				if got := EscapeText("x>y"); got != "x&gt;y" {
+					t.Errorf("EscapeText = %q", got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func TestEscapersDoNotAllocate(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { EscapeText("Melonian bot") }); n != 0 {
+		t.Errorf("EscapeText allocs = %v, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { EscapeAttr("https://x/y") }); n != 0 {
+		t.Errorf("EscapeAttr allocs = %v, want 0", n)
+	}
+}
+
+// TestHasClassSplitsLikeFields pins HasClass to strings.Fields'
+// separators: every unicode.IsSpace rune, and nothing else.
+func TestHasClassSplitsLikeFields(t *testing.T) {
+	viaFields := func(cls, name string) bool {
+		for _, c := range strings.Fields(cls) {
+			if c == name {
+				return true
+			}
+		}
+		return false
+	}
+	classes := []string{
+		"", " ", "a", "a b", " a\tb\n", "a\u00a0b", "a\u0085b", "a\u2003b\u3000",
+		"a\u200bb", "\xffa \xff", "a\vb\fc\rd", "ab a",
+	}
+	names := []string{"", "a", "b", "c", "d", "ab", "a\u00a0b", "a\u200bb", "\xffa", "\xff"}
+	for _, cls := range classes {
+		n := &Node{Type: NodeElement, Attrs: []Attr{{Key: "class", Val: cls}}}
+		for _, name := range names {
+			if got, want := n.HasClass(name), viaFields(cls, name); got != want {
+				t.Errorf("HasClass(%q) on class %q = %v, want %v", name, cls, got, want)
+			}
+		}
+	}
+	f := func(cls, name string) bool {
+		n := &Node{Type: NodeElement, Attrs: []Attr{{Key: "class", Val: cls}}}
+		return n.HasClass(name) == viaFields(cls, name)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	n := &Node{Type: NodeElement, Attrs: []Attr{{Key: "class", Val: "nav\u00a0top bot-card"}}}
+	if allocs := testing.AllocsPerRun(100, func() { n.HasClass("bot-card") }); allocs != 0 {
+		t.Errorf("HasClass allocs = %v, want 0", allocs)
 	}
 }

@@ -187,63 +187,76 @@ func parseCompound(f string) (simpleSelector, error) {
 	return s, nil
 }
 
-// Select returns every element matching the CSS-lite selector, in
-// document order. Invalid selectors return nil.
+// Select returns every element below n matching the CSS-lite selector,
+// in document order. Invalid selectors return nil.
 func (n *Node) Select(sel string) []*Node {
-	chain, err := parseSelector(sel)
-	if err != nil {
-		return nil
-	}
-	current := []*Node{n}
-	for _, s := range chain {
-		var next []*Node
-		seen := make(map[*Node]bool)
-		for _, base := range current {
-			candidates := selectorCandidates(base, s.child)
-			for _, c := range candidates {
-				if s.matches(c) && !seen[c] {
-					seen[c] = true
-					next = append(next, c)
-				}
-			}
-		}
-		current = next
-		if len(current) == 0 {
-			return nil
-		}
-	}
-	return current
-}
-
-func selectorCandidates(base *Node, childOnly bool) []*Node {
-	if childOnly {
-		var out []*Node
-		for _, c := range base.Children {
-			if c.Type == NodeElement {
-				out = append(out, c)
-			}
-		}
-		return out
-	}
 	var out []*Node
-	for _, c := range base.Children {
-		c.Walk(func(x *Node) bool {
-			if x.Type == NodeElement {
-				out = append(out, x)
-			}
-			return true
-		})
-	}
+	n.eachMatch(sel, func(x *Node) bool {
+		out = append(out, x)
+		return true
+	})
 	return out
 }
 
-// SelectFirst returns the first selector match or nil.
+// SelectFirst returns the first selector match in document order, or
+// nil.
 func (n *Node) SelectFirst(sel string) *Node {
-	matches := n.Select(sel)
-	if len(matches) == 0 {
-		return nil
+	var first *Node
+	n.eachMatch(sel, func(x *Node) bool {
+		first = x
+		return false
+	})
+	return first
+}
+
+// eachMatch calls fn on every element below n that sel matches, in
+// document order, until fn returns false. It is one walk: each element
+// is tested against the selector from the right, climbing Parent links
+// and stopping at n. An invalid selector matches nothing.
+func (n *Node) eachMatch(sel string, fn func(*Node) bool) {
+	chain, err := parseSelector(sel)
+	if err != nil {
+		return
 	}
-	return matches[0]
+	n.Walk(func(x *Node) bool {
+		return x == n || matchChain(chain, x, n) != chainMatched || fn(x)
+	})
+}
+
+// chainResult is the outcome of matching a selector chain at one
+// element.
+type chainResult int
+
+const (
+	chainMatched chainResult = iota
+	// chainRetry: no match here, but an element higher up may match.
+	chainRetry
+	// chainExhausted: the climb ran out of ancestors, so no element
+	// higher up can match either.
+	chainExhausted
+)
+
+// matchChain matches chain with its last compound at x and the rest on
+// x's ancestors below root, right to left. A '>' pins the next compound
+// to the parent; a descendant combinator tries each ancestor in turn,
+// and gives up on all of them once an inner climb is exhausted — the
+// pruning browser selector engines use, which keeps the climb linear
+// for chains without '>'.
+func matchChain(chain []simpleSelector, x, root *Node) chainResult {
+	last := chain[len(chain)-1]
+	if !last.matches(x) {
+		return chainRetry
+	}
+	rest := chain[:len(chain)-1]
+	if len(rest) == 0 {
+		return chainMatched
+	}
+	for p := x.Parent; p != nil && p != root; p = p.Parent {
+		if r := matchChain(rest, p, root); r != chainRetry || last.child {
+			return r
+		}
+	}
+	return chainExhausted
 }
 
 // RequireFirst returns the first match or ErrNoSuchElement, mirroring

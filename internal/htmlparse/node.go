@@ -1,6 +1,9 @@
 package htmlparse
 
-import "strings"
+import (
+	"strings"
+	"unicode"
+)
 
 // NodeType classifies tree nodes.
 type NodeType int
@@ -88,18 +91,29 @@ func (n *Node) AttrOr(key, def string) string {
 // ID returns the element's id attribute.
 func (n *Node) ID() string { return n.AttrOr("id", "") }
 
-// HasClass reports whether the element's class list contains name.
+// HasClass reports whether the element's class list contains name. It
+// splits the class attribute where strings.Fields would, at
+// unicode.IsSpace runes, without allocating.
 func (n *Node) HasClass(name string) bool {
 	cls, ok := n.Attr("class")
 	if !ok {
 		return false
 	}
-	for _, c := range strings.Fields(cls) {
-		if c == name {
-			return true
+	start := -1 // byte offset of the current class, -1 between classes
+	for i, r := range cls {
+		switch {
+		case !unicode.IsSpace(r):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			if cls[start:i] == name {
+				return true
+			}
+			start = -1
 		}
 	}
-	return false
+	return start >= 0 && cls[start:] == name
 }
 
 // Text returns the concatenated, whitespace-normalized text content of
@@ -132,16 +146,4 @@ func (n *Node) Walk(fn func(*Node) bool) bool {
 		}
 	}
 	return true
-}
-
-// elements returns all element nodes in document order.
-func (n *Node) elements() []*Node {
-	var out []*Node
-	n.Walk(func(x *Node) bool {
-		if x.Type == NodeElement {
-			out = append(out, x)
-		}
-		return true
-	})
-	return out
 }

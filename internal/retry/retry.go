@@ -179,8 +179,7 @@ func (b *Budget) Remaining() int {
 // surfaced by fn — are returned verbatim and never retried.
 func Do(ctx context.Context, p Policy, fn func(context.Context) error) error {
 	p = p.withDefaults()
-	rng := rand.New(rand.NewSource(p.Seed))
-	delay := p.BaseDelay
+	sched := schedule{p: p, delay: p.BaseDelay}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -204,7 +203,7 @@ func Do(ctx context.Context, p Policy, fn func(context.Context) error) error {
 		if !p.Budget.Take() {
 			return fmt.Errorf("%w after %d attempts: %w", ErrBudgetExhausted, attempt, lastErr)
 		}
-		wait := jittered(delay, p.Jitter, rng)
+		wait := sched.next()
 		if hint, ok := RetryAfterHint(err); ok {
 			if hint > p.RetryAfterCap {
 				hint = p.RetryAfterCap
@@ -216,10 +215,6 @@ func Do(ctx context.Context, p Policy, fn func(context.Context) error) error {
 		if err := sleep(ctx, wait); err != nil {
 			return err
 		}
-		delay = time.Duration(float64(delay) * p.Multiplier)
-		if delay > p.MaxDelay {
-			delay = p.MaxDelay
-		}
 	}
 }
 
@@ -228,30 +223,37 @@ func Do(ctx context.Context, p Policy, fn func(context.Context) error) error {
 // testable without sleeping.
 func PreviewDelays(p Policy, n int) []time.Duration {
 	p = p.withDefaults()
-	rng := rand.New(rand.NewSource(p.Seed))
-	delay := p.BaseDelay
+	sched := schedule{p: p, delay: p.BaseDelay}
 	out := make([]time.Duration, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, jittered(delay, p.Jitter, rng))
-		delay = time.Duration(float64(delay) * p.Multiplier)
-		if delay > p.MaxDelay {
-			delay = p.MaxDelay
-		}
+		out = append(out, sched.next())
 	}
 	return out
 }
 
-// jittered spreads d symmetrically by the jitter fraction: a jitter of
-// 0.2 yields a uniform draw from [0.9d, 1.1d).
-func jittered(d time.Duration, jitter float64, rng *rand.Rand) time.Duration {
-	if jitter <= 0 {
-		return d
+// schedule is the backoff sequence shared by Do and PreviewDelays. Its
+// jitter rng is seeded from Policy.Seed at the first draw, so a Do
+// whose first attempt succeeds never builds one, and every draw is the
+// one an eagerly seeded rng would have made.
+type schedule struct {
+	p     Policy // with defaults applied
+	delay time.Duration
+	rng   *rand.Rand
+}
+
+// next returns the wait before the coming retry and grows the delay
+// for the one after it. A jitter of 0.2 spreads the wait uniformly
+// over [0.9d, 1.1d).
+func (s *schedule) next() time.Duration {
+	wait := s.delay
+	if jitter := min(s.p.Jitter, 1); jitter > 0 {
+		if s.rng == nil {
+			s.rng = rand.New(rand.NewSource(s.p.Seed))
+		}
+		wait = time.Duration(float64(wait) * (1 - jitter/2 + jitter*s.rng.Float64()))
 	}
-	if jitter > 1 {
-		jitter = 1
-	}
-	f := 1 - jitter/2 + jitter*rng.Float64()
-	return time.Duration(float64(d) * f)
+	s.delay = min(time.Duration(float64(s.delay)*s.p.Multiplier), s.p.MaxDelay)
+	return wait
 }
 
 // sleep waits for d or until ctx is done, whichever comes first.

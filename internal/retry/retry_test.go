@@ -263,3 +263,34 @@ func TestZeroJitterExactSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstTrySuccessDoesNotAllocate pins the lazy jitter rng: a Do
+// whose first attempt succeeds never seeds one.
+func TestFirstTrySuccessDoesNotAllocate(t *testing.T) {
+	ctx := context.Background()
+	p := Policy{MaxAttempts: 64, Jitter: 0.25, Seed: 42, Budget: NewBudget(60)}
+	ok := func(context.Context) error { return nil }
+	if n := testing.AllocsPerRun(100, func() { Do(ctx, p, ok) }); n != 0 {
+		t.Errorf("Do allocs = %v, want 0", n)
+	}
+}
+
+// TestJitterScheduleUnchanged pins one jittered schedule to the values
+// an rng seeded before the first attempt produced, so seeding it at
+// the first retry cannot shift any draw.
+func TestJitterScheduleUnchanged(t *testing.T) {
+	p := Policy{
+		BaseDelay:  10 * time.Millisecond,
+		MaxDelay:   100 * time.Millisecond,
+		Multiplier: 2,
+		Jitter:     0.4,
+		Seed:       42,
+	}
+	want := []time.Duration{9492113, 16528003, 41665501, 70682198, 81752738, 95327731}
+	got := PreviewDelays(p, len(want))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("delay[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+}

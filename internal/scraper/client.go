@@ -129,6 +129,13 @@ func isInfraErr(err error) bool {
 		errors.Is(err, retry.ErrBudgetExhausted)
 }
 
+// maxIdleConnsPerHost sizes each client's keep-alive pool. The
+// sharded executor runs one fetcher per shard against a single listing
+// host; http.DefaultTransport keeps only 2 idle connections per host,
+// so every other fetch would dial afresh. Beyond 64 concurrent
+// fetchers the surplus connections churn as before.
+const maxIdleConnsPerHost = 64
+
 // NewClient builds a client from a ClientConfig.
 func NewClient(cfg ClientConfig) (*Client, error) {
 	u, err := url.Parse(cfg.BaseURL)
@@ -139,9 +146,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.TransportRetries <= 0 {
 		cfg.TransportRetries = 3
 	}
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = maxIdleConnsPerHost
 	return &Client{
 		base:             u,
-		http:             &http.Client{Timeout: cfg.Timeout},
+		http:             &http.Client{Timeout: cfg.Timeout, Transport: transport},
 		solver:           cfg.Solver,
 		minInterval:      cfg.MinInterval,
 		retryBudget:      cfg.RetryBudget,

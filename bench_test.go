@@ -12,16 +12,22 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/botsdk"
 	"repro/internal/canary"
 	"repro/internal/codeanalysis"
+	"repro/internal/codehost"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/enforcer"
@@ -48,20 +54,131 @@ var benchBots = flag.Int("bench-bots", 1000, "population size for table/figure b
 
 // ---- shared fixtures ----
 
-// crawlFixture stands up listing + scraper over a seeded population and
-// crawls it once, returning the records the table benchmarks consume.
-func crawlFixture(b *testing.B, n int) (*core.Auditor, []*scraper.Record) {
+// auditFixture runs the pipeline once over a seeded population, with a
+// one-bot honeypot sample and a short settle, and returns the auditor
+// and the results the table benchmarks consume.
+func auditFixture(b *testing.B, n int) (*core.Auditor, *core.Results) {
 	b.Helper()
-	a, err := core.NewAuditor(core.Options{Seed: 2022, NumBots: n, Honeypot: core.HoneypotOptions{Sample: 1}})
+	a, err := core.NewAuditor(core.Options{
+		Seed:     2022,
+		NumBots:  n,
+		Honeypot: core.HoneypotOptions{Sample: 1, Settle: 50 * time.Millisecond},
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(a.Close)
-	records, err := a.CollectContext(context.Background())
+	res, err := a.RunAllContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
-	return a, records
+	return a, res
+}
+
+// each runs fn(i) for every i in [0, n), workers at a time, as the
+// pipeline's executor spreads bots over its workers.
+func each(n, workers int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// crawl lists the site and settles every listed bot through a Crawler,
+// workers at a time. It returns the records in listing order and the
+// number of bots quarantined.
+func crawl(b *testing.B, c *scraper.Client, cfg scraper.Config, workers int) (records []*scraper.Record, quarantined int) {
+	b.Helper()
+	cr := scraper.NewCrawler(c, cfg)
+	ids, _, err := cr.List(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	outs := make([]scraper.SettledBot, len(ids))
+	errs := make([]error, len(ids))
+	each(len(ids), workers, func(i int) { outs[i], errs[i] = cr.Settle(context.Background(), ids[i]) })
+	if err := errors.Join(errs...); err != nil {
+		b.Fatal(err)
+	}
+	for _, out := range outs {
+		switch {
+		case out.Rec != nil:
+			records = append(records, out.Rec)
+		case out.Quarantine != nil:
+			quarantined++
+		}
+	}
+	return records, quarantined
+}
+
+// table2 is the traceability stage's aggregate over records, computed
+// as the pipeline computes it.
+func table2(records []*scraper.Record) report.Table2Data {
+	var an traceability.Analyzer
+	var d report.Table2Data
+	for _, r := range records {
+		if !r.PermsValid {
+			continue
+		}
+		d.ActiveBots++
+		if r.HasWebsite {
+			d.WebsiteLink++
+		}
+		if r.PolicyLinkFound {
+			d.PolicyLink++
+			if !r.PolicyLinkDead {
+				d.PolicyValid++
+			}
+		}
+		d.Traceability.Add(an.AnalyzePolicy(r.PolicyText, r.Perms))
+	}
+	return d
+}
+
+// codeHost serves the ecosystem's code host and returns a client for it.
+func codeHost(b *testing.B, eco *synth.Ecosystem) *scraper.Client {
+	b.Helper()
+	srv, err := codehost.NewServer(eco.Host, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { srv.Close() })
+	c, err := scraper.NewClient(scraper.ClientConfig{BaseURL: srv.BaseURL(), Timeout: 5 * time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
+// analyzeCode folds records through a fresh Analyzer, one bot at a
+// time, into the code-analysis aggregate the pipeline computes.
+func analyzeCode(b *testing.B, c *scraper.Client, records []*scraper.Record) *codeanalysis.Result {
+	b.Helper()
+	az := codeanalysis.NewAnalyzer(c, codeanalysis.AnalyzeOptions{})
+	res := codeanalysis.NewResult()
+	for _, r := range records {
+		if !r.PermsValid {
+			continue
+		}
+		res.NoteBot(r.GitHubURL != "")
+		if r.GitHubURL == "" {
+			continue
+		}
+		sl, err := az.SettleBot(context.Background(), r.ID, r.GitHubURL)
+		if err != nil || sl.RA == nil {
+			b.Fatalf("bot %d link %s: analysis %v, err %v, quarantine %v", r.ID, r.GitHubURL, sl.RA, err, sl.Quarantine)
+		}
+		res.Add(sl.RA)
+	}
+	return res
 }
 
 // ---- FIG1: the full pipeline ----
@@ -91,11 +208,11 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 // ---- FIG3: permission distribution ----
 
 func BenchmarkFigure3PermissionDistribution(b *testing.B) {
-	_, records := crawlFixture(b, *benchBots)
+	_, res := auditFixture(b, *benchBots)
 	b.ResetTimer()
 	var dist []scraper.PermissionShare
 	for i := 0; i < b.N; i++ {
-		dist = scraper.PermissionDistribution(records)
+		dist = scraper.PermissionDistribution(res.Records)
 	}
 	b.StopTimer()
 	report.Figure3(io.Discard, dist)
@@ -135,13 +252,16 @@ func BenchmarkTable1DeveloperDistribution(b *testing.B) {
 // ---- TAB2: traceability ----
 
 func BenchmarkTable2Traceability(b *testing.B) {
-	a, records := crawlFixture(b, *benchBots)
+	_, res := auditFixture(b, *benchBots)
 	b.ResetTimer()
 	var data report.Table2Data
 	for i := 0; i < b.N; i++ {
-		data, _ = a.TraceabilityContext(context.Background(), records)
+		data = table2(res.Records)
 	}
 	b.StopTimer()
+	if !reflect.DeepEqual(data, res.Table2) {
+		b.Fatalf("Table 2 = %+v, the pipeline's %+v", data, res.Table2)
+	}
 	report.Table2(io.Discard, data)
 	b.ReportMetric(100*float64(data.WebsiteLink)/float64(data.ActiveBots), "website_%")
 	b.ReportMetric(100*float64(data.PolicyValid)/float64(data.ActiveBots), "valid_policy_%")
@@ -154,17 +274,17 @@ func BenchmarkTable2Traceability(b *testing.B) {
 // ---- TAB3 + TEXT2: code analysis ----
 
 func BenchmarkTable3CodeAnalysis(b *testing.B) {
-	a, records := crawlFixture(b, *benchBots)
+	a, audit := auditFixture(b, *benchBots)
+	c := codeHost(b, a.Ecosystem())
 	b.ResetTimer()
 	var res *codeanalysis.Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		res, _, err = a.CodeAnalysisContext(context.Background(), records)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = analyzeCode(b, c, audit.Records)
 	}
 	b.StopTimer()
+	if !reflect.DeepEqual(res, audit.Code) {
+		b.Fatalf("code analysis = %+v, the pipeline's %+v", res, audit.Code)
+	}
 	report.Table3(io.Discard, res)
 	report.CodeTaxonomy(io.Discard, res)
 	b.ReportMetric(100*res.CheckRate("JavaScript"), "js_check_%")
@@ -173,13 +293,11 @@ func BenchmarkTable3CodeAnalysis(b *testing.B) {
 }
 
 func BenchmarkGitHubLinkTaxonomy(b *testing.B) {
-	a, records := crawlFixture(b, *benchBots)
+	a, audit := auditFixture(b, *benchBots)
+	c := codeHost(b, a.Ecosystem())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _, err := a.CodeAnalysisContext(context.Background(), records)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := analyzeCode(b, c, audit.Records)
 		if i == b.N-1 {
 			b.StopTimer()
 			b.ReportMetric(100*float64(res.WithLink)/float64(res.ActiveBots), "link_rate_%")
@@ -205,11 +323,7 @@ func BenchmarkScrapeYield(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cres, err := scraper.CrawlResultContext(context.Background(), c, scraper.Config{Workers: 8, Strict: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		records = cres.Records
+		records, _ = crawl(b, c, scraper.Config{Strict: true}, 8)
 	}
 	b.StopTimer()
 	report.ScrapeYield(io.Discard, records)
@@ -257,12 +371,9 @@ func BenchmarkCrawlFaultResilience(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := scraper.CrawlResultContext(context.Background(), c, scraper.Config{Workers: 8})
-				if err != nil {
-					b.Fatal(err)
-				}
-				bots += len(res.Records)
-				quarantined += len(res.Quarantined)
+				records, q := crawl(b, c, scraper.Config{}, 8)
+				bots += len(records)
+				quarantined += q
 			}
 			b.StopTimer()
 			srv.SetMiddleware(nil)
@@ -293,12 +404,13 @@ func BenchmarkHoneypotCampaign(b *testing.B) {
 		}
 		cfg := honeypot.DefaultConfig()
 		cfg.Settle = 300 * time.Millisecond
-		res, err := honeypot.CampaignContext(context.Background(), env, eco, honeypot.CampaignConfig{
-			SampleSize: 25, Concurrency: 12, Experiment: cfg,
-		})
-		if err != nil {
+		camp := honeypot.NewCampaignRunner(env, eco, honeypot.CampaignConfig{SampleSize: 25, Experiment: cfg})
+		errs := make([]error, len(camp.Sample()))
+		each(len(errs), 12, func(i int) { _, _, errs[i] = camp.RunBot(context.Background(), i) })
+		if err := errors.Join(errs...); err != nil {
 			b.Fatal(err)
 		}
+		res := camp.Result()
 		if len(res.Triggered) != 1 || res.Triggered[0].Subject.Name != "Melonian" {
 			b.Fatalf("campaign verdicts wrong: %+v", res.Triggered)
 		}
@@ -326,9 +438,8 @@ func BenchmarkShardedScaleSmoke(b *testing.B) {
 					Seed:    2022,
 					NumBots: 2000,
 					Honeypot: core.HoneypotOptions{
-						Sample:      50,
-						Concurrency: 16,
-						Settle:      200 * time.Millisecond,
+						Sample: 50,
+						Settle: 200 * time.Millisecond,
 					},
 					Exec:  core.ExecOptions{Shards: 4},
 					Trace: core.TraceOptions{Level: lvl},
@@ -466,40 +577,35 @@ func BenchmarkAblationLocators(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationScrapeConcurrency sweeps crawl parallelism under the
-// listing's rate limiter — the operating point §3's self-rate-limiting
-// navigates.
+// BenchmarkAblationScrapeConcurrency sweeps the pipeline's shard count
+// under the listing's rate limiter — the operating point §3's
+// self-rate-limiting navigates. Each run crawls 100 bots and honeypots
+// one with a 10 ms settle, so the crawl sets the time per op.
 func BenchmarkAblationScrapeConcurrency(b *testing.B) {
-	eco := synth.Generate(synth.Config{Seed: 5, NumBots: 100})
-	srv, err := listing.NewServer(listing.NewDirectory(eco.Bots),
-		listing.AntiScrape{RequestsPerSecond: 2000, Burst: 100}, "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(benchName(workers), func(b *testing.B) {
+	for _, shards := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c, err := scraper.NewClient(scraper.ClientConfig{BaseURL: srv.BaseURL(), Timeout: time.Second})
+				b.StopTimer()
+				a, err := core.NewAuditor(core.Options{
+					Seed:     5,
+					NumBots:  100,
+					Scrape:   core.ScrapeOptions{AntiScrape: listing.AntiScrape{RequestsPerSecond: 2000, Burst: 100}, Timeout: time.Second},
+					Honeypot: core.HoneypotOptions{Sample: 1, Settle: 10 * time.Millisecond},
+					Exec:     core.ExecOptions{Shards: shards, Strict: true},
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := scraper.CrawlResultContext(context.Background(), c, scraper.Config{Workers: workers, Strict: true}); err != nil {
+				b.StartTimer()
+				_, err = a.RunAllContext(context.Background())
+				b.StopTimer()
+				a.Close()
+				if err != nil {
 					b.Fatal(err)
 				}
+				b.StartTimer()
 			}
 		})
-	}
-}
-
-func benchName(workers int) string {
-	switch workers {
-	case 1:
-		return "workers-1"
-	case 4:
-		return "workers-4"
-	default:
-		return "workers-16"
 	}
 }
 
@@ -666,11 +772,11 @@ func BenchmarkLongitudinalEpochs(b *testing.B) {
 // BenchmarkVettingPopulation measures the §7 mitigation over a crawled
 // population and reports its verdict split.
 func BenchmarkVettingPopulation(b *testing.B) {
-	_, records := crawlFixture(b, *benchBots)
+	_, res := auditFixture(b, *benchBots)
 	b.ResetTimer()
 	var sum vetting.Summary
 	for i := 0; i < b.N; i++ {
-		_, sum = vetting.VetAll(records)
+		_, sum = vetting.VetAll(res.Records)
 	}
 	b.StopTimer()
 	b.ReportMetric(100*float64(sum.Rejected)/float64(sum.Total), "reject_%")

@@ -11,7 +11,7 @@
 //	botscan -bots 2000 -journal run.jsonl -ledger-mode merkle   # tamper-evident
 //	botscan -bots 2000 -checkpoint-dir ckpt     # crash-safe snapshots
 //	botscan -bots 2000 -checkpoint-dir ckpt -resume latest
-//	botscan -bots 2000 -shards 8 -trace-out traces/run1   # per-bot tracing
+//	botscan -bots 2000 -trace-out traces/run1   # per-bot tracing
 //	botscan journal -file run.jsonl             # summarize a journal
 //	botscan journal -file run.jsonl -timeline   # per-bot replay
 //	botscan trace summary -file traces/run1/spans.jsonl   # span-log views
@@ -66,9 +66,8 @@ func main() {
 		seed         = flag.Int64("seed", 2022, "ecosystem generation seed")
 		bots         = flag.Int("bots", 2000, "listing population size (paper: 20915)")
 		sample       = flag.Int("sample", 100, "honeypot sample size (paper: 500)")
-		workers      = flag.Int("workers", 8, "scraper parallelism (sequential executor)")
-		shards       = flag.Int("shards", 0, "run the sharded work-stealing executor with this many shards (0 = sequential)")
-		stageWorkers = flag.Int("stage-workers", 0, "per-stage concurrency bound under -shards (0 = one per shard)")
+		shards       = flag.Int("shards", 8, "executor shards: each worker carries one bot through every stage (1 = one bot at a time)")
+		stageWorkers = flag.Int("stage-workers", 0, "per-stage concurrency bound (0 = one per shard)")
 		settle       = flag.Duration("settle", 500*time.Millisecond, "honeypot trigger-watch window per bot, opened once the bot has handled the planted command")
 		defences     = flag.Bool("defences", false, "enable listing anti-scraping defences (captcha, flaky pages, rate limit)")
 		fullScale    = flag.Bool("full-scale", false, "use the paper's full 20,915-bot population (slow)")
@@ -117,11 +116,9 @@ func main() {
 	opts := core.Options{
 		Seed:    *seed,
 		NumBots: *bots,
-		Scrape:  core.ScrapeOptions{Workers: *workers},
 		Honeypot: core.HoneypotOptions{
-			Sample:      *sample,
-			Concurrency: 16,
-			Settle:      *settle,
+			Sample: *sample,
+			Settle: *settle,
 		},
 		Exec: core.ExecOptions{
 			Shards: *shards,

@@ -1,7 +1,7 @@
-// Traceability audit: run only the data-collection and traceability
-// stages, then drill into individual verdicts — which bots request
-// data-exposing permissions while disclosing nothing (the 95.67%
-// broken-traceability headline).
+// Traceability audit: run the pipeline with a token honeypot sample,
+// print its traceability tables, then drill into individual verdicts —
+// which bots request data-exposing permissions while disclosing nothing
+// (the 95.67% broken-traceability headline).
 //
 //	go run ./examples/traceability_audit
 package main
@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/report"
@@ -20,21 +21,25 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	auditor, err := core.NewAuditor(core.Options{Seed: 7, NumBots: 600})
+	// The traceability tables need no honeypot: test one bot, briefly.
+	auditor, err := core.NewAuditor(core.Options{
+		Seed:     7,
+		NumBots:  600,
+		Honeypot: core.HoneypotOptions{Sample: 1, Settle: 50 * time.Millisecond},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer auditor.Close()
 
-	ctx := context.Background()
-	records, err := auditor.CollectContext(ctx)
+	res, err := auditor.RunAllContext(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	data, dataTypes := auditor.TraceabilityContext(ctx, records)
-	report.Table2(os.Stdout, data)
+	records := res.Records
+	report.Table2(os.Stdout, res.Table2)
 	fmt.Println()
-	report.DataTypes(os.Stdout, dataTypes)
+	report.DataTypes(os.Stdout, res.DataTypes)
 
 	// Drill-down: the most dangerous broken-traceability bots — admin
 	// permission, not a word of disclosure.

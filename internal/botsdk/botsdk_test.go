@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -260,6 +261,38 @@ func TestServerDisconnectFailsPending(t *testing.T) {
 	defer sess.Close()
 	if _, err := sess.Send("9", "x"); err == nil {
 		t.Error("request across a dropped connection succeeded")
+	}
+}
+
+// TestServerDropLeavesNoGoroutine: a session whose connection the
+// server drops tears itself down. Once Done fires and the caller's
+// Close returns, none of the session's goroutines may remain.
+func TestServerDropLeavesNoGoroutine(t *testing.T) {
+	srv := newScripted(t, func(conn net.Conn, dec *json.Decoder, enc *json.Encoder) {
+		acceptIdentify(t, dec, enc) // then drop the connection
+	})
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		sess, err := Dial(srv.ln.Addr().String(), "tok", Options{HeartbeatEvery: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-sess.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatal("session outlived the server's drop")
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The server side's connection goroutines exit on their own time.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		buf := make([]byte, 64<<10)
+		t.Fatalf("%d goroutines outlive 50 dropped sessions (baseline %d):\n%s", n-base, base, buf[:runtime.Stack(buf, true)])
 	}
 }
 

@@ -222,6 +222,16 @@ func (s *Session) OnMessage(h func(s *Session, m *Message)) {
 
 // Close tears the session down and waits for its goroutines.
 func (s *Session) Close() error {
+	err := s.teardown()
+	s.wg.Wait()
+	return err
+}
+
+// teardown marks the session closed, fails its pending requests and
+// closes the connection, without waiting for the session's goroutines:
+// the read loop, one of them, calls it when the connection ends first.
+// Only the first call closes the connection and returns its error.
+func (s *Session) teardown() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -235,9 +245,7 @@ func (s *Session) Close() error {
 		delete(s.pending, id)
 	}
 	s.mu.Unlock()
-	err := s.conn.Close()
-	s.wg.Wait()
-	return err
+	return s.conn.Close()
 }
 
 func (s *Session) send(f gateway.Frame) error {
@@ -251,7 +259,7 @@ func (s *Session) readLoop(dec *json.Decoder) {
 	for {
 		var f gateway.Frame
 		if err := dec.Decode(&f); err != nil {
-			s.Close()
+			s.teardown()
 			return
 		}
 		switch f.Op {

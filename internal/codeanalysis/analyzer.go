@@ -10,14 +10,15 @@ import (
 	"repro/internal/scraper"
 )
 
-// Analyzer is the stage's per-bot form for caller-scheduled executors
-// (the sharded pipeline). Where AnalyzeOptionsContext deduplicates
-// links up front, the Analyzer deduplicates on demand with a
-// single-flight cache: the first bot to reach a link fetches it, later
-// bots (possibly concurrent) wait on the same flight and clone its
-// analysis. One fetch per unique link keeps the fault injector's
-// per-endpoint attempt numbering — and with it the degradation ledger —
-// independent of scheduling, exactly as the batch path does.
+// Analyzer runs the stage one bot at a time for a caller-scheduled
+// executor (the pipeline's). Many bots share a developer's profile
+// page or repository, so links are deduplicated with a single-flight
+// cache: the first bot to reach a link fetches it, later bots (possibly
+// concurrent) wait on the same flight and clone its analysis. One fetch
+// per unique link keeps the fault injector's per-endpoint attempt
+// numbering — and with it the degradation ledger — independent of
+// scheduling. A link whose fetch fails after retries quarantines every
+// bot that references it.
 type Analyzer struct {
 	Client *scraper.Client
 	Opts   AnalyzeOptions
@@ -99,8 +100,10 @@ func (az *Analyzer) resolve(ctx context.Context, link string) (*linkFlight, erro
 }
 
 // SettleBot resolves one bot's link through the flight cache and emits
-// the same per-bot journal milestones as the batch path. The returned
-// error is fatal (context cancellation only).
+// the bot's journal milestone: code_flag, bot_quarantined, or
+// work_skipped for a link settled in the checkpoint. Each call records
+// one codeanalysis bot-stage span. The returned error is fatal (context
+// cancellation only).
 func (az *Analyzer) SettleBot(ctx context.Context, botID int, link string) (SettledLink, error) {
 	ctx = trace.WithBot(ctx, botID, "")
 	defer trace.StartStage(ctx)()

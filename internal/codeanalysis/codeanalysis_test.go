@@ -2,7 +2,10 @@ package codeanalysis
 
 import (
 	"context"
+	"errors"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +26,51 @@ func startHost(t *testing.T, h *codehost.Host) *scraper.Client {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// analyzeAll folds records through an Analyzer as the pipeline's
+// executor does: every perms-valid record counts as an active bot, and
+// each linked one settles through SettleBot, workers at a time, so bots
+// sharing a link meet in its single-flight cache. The analyses come
+// back in record order.
+func analyzeAll(t *testing.T, c *scraper.Client, records []*scraper.Record, workers int) (*Result, []*RepoAnalysis) {
+	t.Helper()
+	az := NewAnalyzer(c, AnalyzeOptions{})
+	settled := make([]SettledLink, len(records))
+	errs := make([]error, len(records))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(records); i = int(next.Add(1)) - 1 {
+				if r := records[i]; r != nil && r.PermsValid && r.GitHubURL != "" {
+					settled[i], errs[i] = az.SettleBot(context.Background(), r.ID, r.GitHubURL)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	res := NewResult()
+	var analyses []*RepoAnalysis
+	for i, r := range records {
+		if r == nil || !r.PermsValid {
+			continue
+		}
+		res.NoteBot(r.GitHubURL != "")
+		switch sl := settled[i]; {
+		case sl.RA != nil:
+			analyses = append(analyses, sl.RA)
+			res.Add(sl.RA)
+		case sl.Quarantine != nil:
+			res.Quarantined = append(res.Quarantined, QuarantinedLink{BotID: r.ID, Link: r.GitHubURL, Err: sl.Quarantine})
+		}
+	}
+	return res, analyses
 }
 
 func TestScanSource(t *testing.T) {
@@ -113,10 +161,7 @@ func TestAnalyzeAggregate(t *testing.T) {
 		{ID: 6, PermsValid: false, GitHubURL: "/a/js-checked"}, // inactive: skipped
 		nil,
 	}
-	res, analyses, err := AnalyzeContext(context.Background(), c, records, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, analyses := analyzeAll(t, c, records, 2)
 	if res.ActiveBots != 5 || res.WithLink != 4 {
 		t.Errorf("active/link = %d/%d", res.ActiveBots, res.WithLink)
 	}
@@ -156,10 +201,7 @@ func TestSyntheticPopulationRates(t *testing.T) {
 			GitHubURL:  b.GitHubURL,
 		})
 	}
-	res, _, err := AnalyzeContext(context.Background(), c, records, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := analyzeAll(t, c, records, 8)
 	within := func(name string, got, want, tol float64) {
 		if math.Abs(got-want) > tol {
 			t.Errorf("%s = %.2f, want %.2f ± %.1f", name, got, want, tol)

@@ -14,16 +14,14 @@
 //	res, _ := a.RunAllContext(ctx)
 //	res.Report(os.Stdout)
 //
-// Two executors share the same per-bot machinery: the default
-// sequential one runs the four stages as whole-population batches, and
-// the sharded one (Options.Exec.Shards >= 1) carries each bot through
+// The executor (pipeline.go) carries each bot through
 // collect → traceability → code analysis → honeypot on a work-stealing
-// scheduler with per-stage concurrency gates.
+// scheduler with Options.Exec.Shards workers and per-stage concurrency
+// gates.
 package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -59,9 +57,6 @@ type ScrapeOptions struct {
 	// Timeout bounds each scraper fetch (default 500ms — shorter than
 	// the slow-redirect delay, as the paper's timeouts were).
 	Timeout time.Duration
-	// Workers is the crawl parallelism (default 8). The sharded
-	// executor uses Exec.StageWorkers.Collect instead.
-	Workers int
 	// Solver answers captchas for both the scraper and the honeypot
 	// installer; defaults to a TwoCaptchaSim.
 	Solver scraper.Solver
@@ -72,16 +67,12 @@ type HoneypotOptions struct {
 	// Sample is how many most-voted bots the dynamic analysis tests
 	// (default: the paper's 500, capped at the population).
 	Sample int
-	// Concurrency bounds simultaneous guild experiments in the
-	// sequential executor (default 8); the sharded executor uses
-	// Exec.StageWorkers.Honeypot.
-	Concurrency int
 	// Settle is the per-bot trigger-watch window, opened once the bot
 	// has handled the planted command (default 500ms).
 	Settle time.Duration
 }
 
-// StageWorkers bounds the sharded executor's per-stage concurrency:
+// StageWorkers bounds the executor's per-stage concurrency:
 // how many workers may simultaneously occupy each stage's gate, i.e.
 // how much pressure the listing server, code host, and gateway each
 // see. Zero fields default to Exec.Shards.
@@ -91,27 +82,26 @@ type StageWorkers struct {
 	Honeypot int
 }
 
-// ExecOptions selects and tunes the pipeline executor.
+// ExecOptions tunes the pipeline executor.
 type ExecOptions struct {
 	// Strict restores fail-fast semantics: the first stage-level or
 	// per-bot failure aborts the pipeline instead of quarantining the
 	// bot and continuing with partial results.
 	Strict bool
-	// Shards switches RunAllContext to the sharded work-stealing
-	// executor with that many shards: each worker carries one bot
-	// through all four stages, stealing from loaded shards when its
-	// own drains. Zero (the default) keeps the sequential
-	// stage-at-a-time executor.
+	// Shards is the executor's shard and worker count: each worker
+	// carries one bot through all four stages, stealing from loaded
+	// shards when its own drains. Zero or less means 8; 1 runs one
+	// bot at a time.
 	Shards int
-	// StageWorkers bounds per-stage concurrency under the sharded
-	// executor; zero fields default to Shards.
+	// StageWorkers bounds per-stage concurrency; zero fields default
+	// to Shards.
 	StageWorkers StageWorkers
 	// StageSoftDeadline, when positive, arms a watchdog over each
 	// pipeline stage: a stage running past the deadline gets a
 	// stage_stalled journal event carrying a full goroutine dump, then
 	// its context is cancelled with ErrStageStalled as the cause.
-	// Under the sharded executor stages share one wall-clock window,
-	// so the deadline spans the whole pipelined phase.
+	// The four pipeline stages share one wall-clock window, so each
+	// deadline spans the whole pipelined phase.
 	StageSoftDeadline time.Duration
 	// StageRetryBudget, when positive, gives each network stage
 	// (collect, codeanalysis) its own shared retry budget of that many
@@ -183,7 +173,7 @@ type Options struct {
 	Scrape ScrapeOptions
 	// Honeypot tunes stage 4 (dynamic analysis).
 	Honeypot HoneypotOptions
-	// Exec selects the executor and its safety envelope.
+	// Exec tunes the executor and its safety envelope.
 	Exec ExecOptions
 	// Faults configures deterministic fault injection.
 	Faults FaultOptions
@@ -276,8 +266,7 @@ type Results struct {
 	// minted regardless so reports can cite it).
 	RunID string
 
-	// Scale is the sharded executor's scheduler/throughput accounting
-	// (nil under the sequential executor).
+	// Scale is the executor's scheduler/throughput accounting.
 	Scale *ScaleStats
 
 	// Degraded reports whether any stage absorbed an error or
@@ -298,6 +287,10 @@ type Results struct {
 	FaultLog []faults.Fault
 }
 
+// defaultShards is Exec.Shards when unset: the crawl and honeypot
+// concurrency the listing site, code host and gateway see by default.
+const defaultShards = 8
+
 // NewAuditor generates the ecosystem, resolves every subsystem option
 // (fault profile → injector, checkpoint dir → store, breaker config →
 // breaker set), and starts all services.
@@ -305,20 +298,17 @@ func NewAuditor(opts Options) (*Auditor, error) {
 	if opts.Scrape.Timeout <= 0 {
 		opts.Scrape.Timeout = 500 * time.Millisecond
 	}
-	if opts.Scrape.Workers <= 0 {
-		opts.Scrape.Workers = 8
-	}
 	if opts.Scrape.Solver == nil {
 		opts.Scrape.Solver = &scraper.TwoCaptchaSim{CostPerSolve: 299}
 	}
 	if opts.Honeypot.Sample <= 0 {
 		opts.Honeypot.Sample = 500
 	}
-	if opts.Honeypot.Concurrency <= 0 {
-		opts.Honeypot.Concurrency = 8
-	}
 	if opts.Honeypot.Settle <= 0 {
 		opts.Honeypot.Settle = 500 * time.Millisecond
+	}
+	if opts.Exec.Shards <= 0 {
+		opts.Exec.Shards = defaultShards
 	}
 
 	eco := opts.Ecosystem
@@ -487,27 +477,10 @@ func (a *Auditor) Close() {
 	}
 }
 
-// CollectContext runs stage 1: crawl the listing and decode
-// permissions, failing fast on the first lost bot.
-func (a *Auditor) CollectContext(ctx context.Context) ([]*scraper.Record, error) {
-	res, err := scraper.CrawlResultContext(ctx, a.listClient, scraper.Config{
-		Workers: a.opts.Scrape.Workers,
-		Strict:  true,
-	})
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, fmt.Errorf("core: collect: %w", err)
-	}
-	return res.Records, nil
-}
-
 // auditOne folds one perms-valid record into the traceability
-// aggregates and emits its policy_audited event. Both executors route
-// every record through it, so per-record traceability is identical
-// whether it runs in a batch loop or interleaved per bot; the
-// aggregates themselves are commutative counters.
+// aggregates and emits its policy_audited event. The aggregates are
+// commutative counters, so the order in which workers audit records
+// does not change them.
 func auditOne(ctx context.Context, an *traceability.Analyzer, d *report.Table2Data, dt *traceability.DataTypeResult, r *scraper.Record) {
 	ctx = bottrace.WithBot(ctx, r.ID, r.Name)
 	defer bottrace.StartStage(ctx)()
@@ -532,35 +505,6 @@ func auditOne(ctx context.Context, an *traceability.Analyzer, d *report.Table2Da
 	})
 }
 
-// TraceabilityContext runs stage 2 over collected records — the
-// Table 2 counts plus the ontology-based per-data-type refinement —
-// with ctx carrying the run's journal correlation: every audited
-// policy becomes a policy_audited event recording the bot and its
-// disclosure verdict.
-func (a *Auditor) TraceabilityContext(ctx context.Context, records []*scraper.Record) (report.Table2Data, *traceability.DataTypeResult) {
-	var d report.Table2Data
-	var an traceability.Analyzer
-	dt := traceability.NewDataTypeResult()
-	for _, r := range records {
-		if r == nil || !r.PermsValid {
-			continue
-		}
-		auditOne(ctx, &an, &d, dt, r)
-	}
-	return d, dt
-}
-
-// CodeAnalysisContext runs stage 3 over collected records.
-func (a *Auditor) CodeAnalysisContext(ctx context.Context, records []*scraper.Record) (*codeanalysis.Result, []*codeanalysis.RepoAnalysis, error) {
-	return codeanalysis.AnalyzeContext(ctx, a.codeClient, records, a.opts.Scrape.Workers)
-}
-
-// DynamicAnalysisContext runs stage 4: the honeypot campaign over the
-// most-voted sample.
-func (a *Auditor) DynamicAnalysisContext(ctx context.Context) (*honeypot.CampaignResult, error) {
-	return honeypot.CampaignContext(ctx, a.honeypotEnv(), a.eco, a.campaignConfig(nil, nil))
-}
-
 // honeypotEnv assembles the experiment environment shared by every
 // campaign this auditor runs.
 func (a *Auditor) honeypotEnv() honeypot.Env {
@@ -575,25 +519,22 @@ func (a *Auditor) honeypotEnv() honeypot.Env {
 	}
 }
 
-// campaignConfig assembles the campaign configuration with optional
-// checkpoint hooks: a resume state replaying settled experiments and a
-// settle observer feeding the checkpointer.
-func (a *Auditor) campaignConfig(resume *honeypot.CampaignResume, onSettled func(int, *honeypot.Verdict, error)) honeypot.CampaignConfig {
+// campaignConfig assembles the campaign configuration, with the resume
+// state that replays settled experiments.
+func (a *Auditor) campaignConfig(resume *honeypot.CampaignResume) honeypot.CampaignConfig {
 	expCfg := honeypot.DefaultConfig()
 	expCfg.Settle = a.opts.Honeypot.Settle
 	expCfg.Solver = a.opts.Scrape.Solver
 	return honeypot.CampaignConfig{
-		SampleSize:  a.opts.Honeypot.Sample,
-		Concurrency: a.opts.Honeypot.Concurrency,
-		Experiment:  expCfg,
-		Strict:      a.opts.Exec.Strict,
-		Resume:      resume,
-		OnSettled:   onSettled,
+		SampleSize: a.opts.Honeypot.Sample,
+		Experiment: expCfg,
+		Strict:     a.opts.Exec.Strict,
+		Resume:     resume,
 	}
 }
 
 // run carries one RunAllContext invocation's shared state between the
-// prologue, the chosen executor, and the epilogue.
+// prologue, the executor, and the epilogue.
 type run struct {
 	a      *Auditor
 	ctx    context.Context
@@ -633,18 +574,6 @@ func (r *run) stage(name string) (context.Context, func()) {
 	}
 }
 
-// stageFail translates a stage error: watchdog stalls surface as
-// ErrStageStalled, outer cancellation as the context's error.
-func (r *run) stageFail(sctx context.Context, name string, err error) error {
-	if cause := context.Cause(sctx); cause != nil && errors.Is(cause, ErrStageStalled) {
-		return cause
-	}
-	if ctxErr := r.ctx.Err(); ctxErr != nil {
-		return ctxErr
-	}
-	return fmt.Errorf("core: %s: %w", name, err)
-}
-
 // note records a stage's degradation tallies; a stage with absorbed
 // errors or quarantines marks the whole run degraded and emits one
 // stage_degraded event so the journal tells the story end to end.
@@ -675,10 +604,9 @@ func retriesOf(c *scraper.Client) int {
 // stream of correlated events sharing one run ID, bracketed by
 // stage_started/stage_completed pairs.
 //
-// With Options.Exec.Shards >= 1 the four analysis stages run on the
-// sharded work-stealing executor; fault-free runs produce verdicts,
-// quarantines, and aggregates identical to the sequential executor on
-// the same seed.
+// The four analysis stages run on the sharded work-stealing executor;
+// fault-free runs produce the same verdicts, quarantines and aggregates
+// on the same seed whatever the shard count.
 func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 	runID := fmt.Sprintf("run-%d", time.Now().UnixNano())
 
@@ -745,16 +673,10 @@ func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 		journal.Emit(ctx, "core", journal.KindRunResumed, fields)
 	}
 
-	// The run's tracer, at every level: sharded by the executor's
-	// worker count (the sequential executor hashes bots across the same
-	// buffer count).
+	// The run's tracer, at every level: one buffer per executor worker.
 	tracer := a.opts.Trace.Tracer
 	if tracer == nil {
-		shards := a.opts.Exec.Shards
-		if shards <= 0 {
-			shards = a.opts.Scrape.Workers
-		}
-		tracer = bottrace.New(runID, shards, a.opts.Trace.Level)
+		tracer = bottrace.New(runID, a.opts.Exec.Shards, a.opts.Trace.Level)
 	}
 	res.BotTrace = tracer
 
@@ -791,13 +713,7 @@ func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 		ck.trackBudget("codeanalysis", r.codeBudget)
 	}
 
-	var err error
-	if a.opts.Exec.Shards > 0 {
-		err = a.runSharded(r)
-	} else {
-		err = a.runSequential(r)
-	}
-	if err != nil {
+	if err := a.runSharded(r); err != nil {
 		return nil, err
 	}
 
@@ -814,83 +730,6 @@ func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 	}
 	ck.finish()
 	return res, nil
-}
-
-// runSequential is the historical stage-at-a-time executor: each stage
-// processes the whole population before the next begins.
-func (a *Auditor) runSequential(r *run) error {
-	res := r.res
-
-	collectCtx, endCollect := r.stage("collect")
-	listRetries := retriesOf(a.listClient)
-	crawl, err := scraper.CrawlResultContext(collectCtx, a.listClient, scraper.Config{
-		Workers:   a.opts.Scrape.Workers,
-		Strict:    a.opts.Exec.Strict,
-		Resume:    r.scrapeRes,
-		OnSettled: r.ck.noteCollect,
-		OnListed:  r.ck.noteListed,
-	})
-	endCollect()
-	if err != nil {
-		return r.stageFail(collectCtx, "collect", err)
-	}
-	r.ck.boundary("collect")
-	res.Records = crawl.Records
-	d := report.StageDegradation{
-		Retries:     retriesOf(a.listClient) - listRetries,
-		Quarantined: len(crawl.Quarantined),
-		BudgetLeft:  r.collectBudget.Remaining(),
-	}
-	if crawl.ListErr != nil {
-		res.StageErrors["collect"] = crawl.ListErr
-		d.Errors++
-	}
-	for _, q := range crawl.Quarantined {
-		res.Quarantined = append(res.Quarantined, QuarantinedBot{Stage: "collect", BotID: q.BotID, Err: q.Err})
-	}
-	r.note(collectCtx, "collect", d)
-	res.PermDist = scraper.PermissionDistribution(res.Records)
-	res.Scraper = a.listClient.Stats()
-
-	traceCtx, endTrace := r.stage("traceability")
-	res.Table2, res.DataTypes = a.TraceabilityContext(traceCtx, res.Records)
-	endTrace()
-
-	codeCtx, endCode := r.stage("codeanalysis")
-	codeRetries := retriesOf(a.codeClient)
-	res.Code, res.Analyses, err = codeanalysis.AnalyzeOptionsContext(codeCtx, a.codeClient, res.Records, codeanalysis.AnalyzeOptions{
-		Workers: a.opts.Scrape.Workers,
-		Resume:  r.codeRes,
-		OnLink:  r.ck.noteLink,
-	})
-	endCode()
-	if err != nil {
-		return r.stageFail(codeCtx, "codeanalysis", err)
-	}
-	r.ck.boundary("codeanalysis")
-	d = report.StageDegradation{
-		Retries:     retriesOf(a.codeClient) - codeRetries,
-		Quarantined: len(res.Code.Quarantined),
-		BudgetLeft:  r.codeBudget.Remaining(),
-	}
-	for _, q := range res.Code.Quarantined {
-		res.Quarantined = append(res.Quarantined, QuarantinedBot{Stage: "codeanalysis", BotID: q.BotID, Link: q.Link, Err: q.Err})
-	}
-	r.note(codeCtx, "codeanalysis", d)
-
-	hpCtx, endHoneypot := r.stage("honeypot")
-	res.Honeypot, err = honeypot.CampaignContext(hpCtx, a.honeypotEnv(), a.eco, a.campaignConfig(r.hpRes, r.ck.noteVerdict))
-	endHoneypot()
-	if err != nil {
-		return r.stageFail(hpCtx, "honeypot", err)
-	}
-	r.ck.boundary("honeypot")
-	d = report.StageDegradation{Quarantined: len(res.Honeypot.Quarantined), BudgetLeft: -1}
-	for _, q := range res.Honeypot.Quarantined {
-		res.Quarantined = append(res.Quarantined, QuarantinedBot{Stage: "honeypot", BotID: q.BotID, Name: q.Name, Err: q.Err})
-	}
-	r.note(hpCtx, "honeypot", d)
-	return nil
 }
 
 // Report renders every table and figure to w.

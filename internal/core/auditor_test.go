@@ -10,10 +10,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codeanalysis"
 	"repro/internal/listing"
 	"repro/internal/obs"
 	bottrace "repro/internal/obs/trace"
 	"repro/internal/permissions"
+	"repro/internal/report"
+	"repro/internal/scraper"
+	"repro/internal/traceability"
 	"repro/internal/vetting"
 )
 
@@ -25,9 +29,8 @@ func newSmallAuditor(t *testing.T, n int) *Auditor {
 		Seed:    11,
 		NumBots: n,
 		Honeypot: HoneypotOptions{
-			Sample:      20,
-			Concurrency: 8,
-			Settle:      400 * time.Millisecond,
+			Sample: 20,
+			Settle: 400 * time.Millisecond,
 		},
 	})
 	if err != nil {
@@ -114,22 +117,57 @@ func TestReportRendersAllSections(t *testing.T) {
 	}
 }
 
+// TestStagesRunIndividually drives the first three stages' per-bot
+// forms by hand, one bot at a time and outside RunAllContext, against
+// the auditor's services: the Crawler, the traceability audit and the
+// Analyzer.
 func TestStagesRunIndividually(t *testing.T) {
 	a := newSmallAuditor(t, 80)
-	records, err := a.CollectContext(context.Background())
+	ctx := context.Background()
+	cr := scraper.NewCrawler(a.listClient, scraper.Config{Strict: true})
+	ids, _, err := cr.List(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _ := a.TraceabilityContext(context.Background(), records)
-	if d.ActiveBots == 0 {
-		t.Error("traceability saw no active bots")
+	var records []*scraper.Record
+	for _, id := range ids {
+		out, err := cr.Settle(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, out.Rec)
 	}
-	code, analyses, err := a.CodeAnalysisContext(context.Background(), records)
-	if err != nil {
-		t.Fatal(err)
+	if len(records) != 80 {
+		t.Fatalf("collected %d records, want 80", len(records))
 	}
-	if code.WithLink != len(analyses) {
-		t.Errorf("analyses %d != links %d", len(analyses), code.WithLink)
+
+	var an traceability.Analyzer
+	var d report.Table2Data
+	dt := traceability.NewDataTypeResult()
+	az := codeanalysis.NewAnalyzer(a.codeClient, codeanalysis.AnalyzeOptions{})
+	code := codeanalysis.NewResult()
+	analyses := 0
+	for _, r := range records {
+		if !r.PermsValid {
+			continue
+		}
+		auditOne(ctx, &an, &d, dt, r)
+		code.NoteBot(r.GitHubURL != "")
+		if r.GitHubURL == "" {
+			continue
+		}
+		sl, err := az.SettleBot(ctx, r.ID, r.GitHubURL)
+		if err != nil || sl.RA == nil {
+			t.Fatalf("bot %d link %s: analysis %v, err %v", r.ID, r.GitHubURL, sl.RA, err)
+		}
+		code.Add(sl.RA)
+		analyses++
+	}
+	if d.ActiveBots == 0 || d.Traceability.Total != d.ActiveBots || dt.Bots != d.ActiveBots {
+		t.Errorf("traceability saw %d active bots, %d verdicts, %d data-type bots", d.ActiveBots, d.Traceability.Total, dt.Bots)
+	}
+	if code.ActiveBots != d.ActiveBots || code.WithLink != analyses || analyses == 0 {
+		t.Errorf("code analysis: %d active, %d links, %d analyses", code.ActiveBots, code.WithLink, analyses)
 	}
 }
 
@@ -152,10 +190,8 @@ func TestAuditorWithDefences(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	records, err := a.CollectContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAll(t, a)
+	records := res.Records
 	stats := a.listClient.Stats()
 	if stats.CaptchasSolved == 0 {
 		t.Error("no captchas solved despite CaptchaEvery")
@@ -204,10 +240,7 @@ func TestVettingRejectsTheHoneypotConfirmedBot(t *testing.T) {
 
 func TestScrapedPermsMatchGroundTruth(t *testing.T) {
 	a := newSmallAuditor(t, 100)
-	records, err := a.CollectContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := runAll(t, a).Records
 	truth := make(map[int]permissions.Permission)
 	for _, b := range a.Ecosystem().Bots {
 		if b.InviteHealth == listing.InviteOK {
@@ -230,9 +263,8 @@ func TestObservabilityAcrossPipeline(t *testing.T) {
 		Seed:    11,
 		NumBots: 200,
 		Honeypot: HoneypotOptions{
-			Sample:      10,
-			Concurrency: 8,
-			Settle:      400 * time.Millisecond,
+			Sample: 10,
+			Settle: 400 * time.Millisecond,
 		},
 		Obs: reg,
 	})

@@ -1,5 +1,6 @@
 // Crash-safe checkpointing for the pipeline: RunAllContext persists
-// progress snapshots at stage boundaries and every N settled bots, and
+// progress snapshots every N settled bots, at the end of the pipelined
+// phase and at finish, and
 // a resumed run replays settled (bot, stage) pairs instead of
 // re-executing them. The snapshot format and atomic store live in
 // internal/checkpoint; this file is the pipeline-side accumulator that
@@ -41,8 +42,8 @@ type CheckpointOptions struct {
 	// Store persists the snapshots; overrides Dir.
 	Store *checkpoint.Store
 	// Every writes a snapshot after that many freshly settled bots, in
-	// addition to the unconditional writes at stage boundaries
-	// (default 25).
+	// addition to the unconditional writes at the end of the pipelined
+	// phase and at finish (default 25).
 	Every int
 	// Resume selects a snapshot to resume from: a run ID, or
 	// ResumeLatest for the newest in the store. Empty starts fresh.
@@ -183,22 +184,6 @@ func (c *ckptState) noteListed(ids []int) {
 	c.mu.Unlock()
 }
 
-// noteCollect records one freshly settled crawl outcome.
-func (c *ckptState) noteCollect(id int, rec *scraper.Record, qerr error) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if qerr != nil {
-		c.snap.CollectQuarantine = append(c.snap.CollectQuarantine,
-			checkpoint.QEntry{BotID: id, Err: qerr.Error()})
-	} else {
-		c.snap.Records = append(c.snap.Records, rec)
-	}
-	c.writeIfDueLocked("collect")
-	c.mu.Unlock()
-}
-
 // noteLink records one freshly settled unique code link.
 func (c *ckptState) noteLink(link string, ra *codeanalysis.RepoAnalysis, errText string) {
 	if c == nil {
@@ -214,23 +199,7 @@ func (c *ckptState) noteLink(link string, ra *codeanalysis.RepoAnalysis, errText
 	c.mu.Unlock()
 }
 
-// noteVerdict records one freshly settled honeypot experiment.
-func (c *ckptState) noteVerdict(botID int, v *honeypot.Verdict, qerr error) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if qerr != nil {
-		c.snap.HoneypotQuarantine = append(c.snap.HoneypotQuarantine,
-			checkpoint.QEntry{BotID: botID, Err: qerr.Error()})
-	} else {
-		c.snap.Verdicts = append(c.snap.Verdicts, v)
-	}
-	c.writeIfDueLocked("honeypot")
-	c.mu.Unlock()
-}
-
-// pendingOutcome is one settled per-bot outcome buffered by a sharded
+// pendingOutcome is one settled per-bot outcome buffered by an executor
 // worker between checkpoint flushes: either a collect outcome (Rec or
 // Qerr) or a honeypot outcome (V or Qerr), tagged by Stage.
 type pendingOutcome struct {
@@ -242,11 +211,11 @@ type pendingOutcome struct {
 }
 
 // noteBatch folds a worker's buffered outcomes into the snapshot under
-// one lock acquisition — the sharded executor settles bots from many
-// workers at once, and per-outcome locking plus per-outcome write
-// checks would serialize them on checkpoint state. The batch still
-// counts toward the periodic threshold, so durability lags by at most
-// one worker buffer.
+// one lock acquisition — the executor settles bots from many workers
+// at once, and per-outcome locking plus per-outcome write checks would
+// serialize them on checkpoint state. The batch still counts toward
+// the periodic threshold, so durability lags by at most one worker
+// buffer.
 func (c *ckptState) noteBatch(batch []pendingOutcome) {
 	if c == nil || len(batch) == 0 {
 		return
@@ -273,8 +242,8 @@ func (c *ckptState) noteBatch(batch []pendingOutcome) {
 	c.mu.Unlock()
 }
 
-// boundary writes a snapshot unconditionally — called between stages,
-// where a crash would otherwise lose the whole preceding stage.
+// boundary writes a snapshot unconditionally — called when the
+// pipelined phase ends, so a crash after it loses none of its work.
 func (c *ckptState) boundary(stage string) {
 	if c == nil {
 		return

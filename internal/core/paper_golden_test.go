@@ -15,9 +15,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current report output")
 
 // paperTables strips the run-dependent blocks from a report — the stage
-// timing table and the sharded executor's scale block — leaving the
-// paper's tables and figures, which must not depend on the executor or
-// the clock.
+// timing table and the executor's scale block — leaving the paper's
+// tables and figures, which must not depend on the shard count or the
+// clock.
 func paperTables(report string) string {
 	var out []string
 	skipping := false
@@ -38,8 +38,9 @@ func paperTables(report string) string {
 // TestPaperTablesGolden pins the reproduced paper results at a fixed
 // seed and scale: scrape yield and the invalid-link taxonomy, Figure 3,
 // Tables 1–3, the data-type and code taxonomies, the honeypot campaign
-// and vetting. Both executors must render them byte for byte against
-// one golden file, so a refactor of either cannot shift them silently.
+// and vetting. A sequential (one-shard) run and a sharded one must
+// render them byte for byte against one golden file, so neither a
+// refactor nor the scheduling can shift them silently.
 // Regenerate with `go test ./internal/core -run TestPaperTablesGolden
 // -update` only when a change to the results is intended.
 func TestPaperTablesGolden(t *testing.T) {
@@ -47,7 +48,7 @@ func TestPaperTablesGolden(t *testing.T) {
 	for _, exec := range []struct {
 		name   string
 		shards int
-	}{{"sequential", 0}, {"sharded", 4}} {
+	}{{"sequential", 1}, {"sharded", defaultShards}} {
 		t.Run(exec.name, func(t *testing.T) {
 			a, err := NewAuditor(Options{
 				Seed:     2022,
@@ -65,7 +66,7 @@ func TestPaperTablesGolden(t *testing.T) {
 			res.Report(&buf)
 			got := paperTables(buf.String())
 
-			if *updateGolden && exec.shards == 0 {
+			if *updateGolden && exec.shards == 1 {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -78,7 +79,7 @@ func TestPaperTablesGolden(t *testing.T) {
 				t.Fatalf("%v (run with -update to create it)", err)
 			}
 			if got != string(want) {
-				t.Errorf("%s executor's paper tables drifted from %s\n--- got ---\n%s--- want ---\n%s",
+				t.Errorf("%s run's paper tables drifted from %s\n--- got ---\n%s--- want ---\n%s",
 					exec.name, golden, got, want)
 			}
 		})

@@ -1,17 +1,17 @@
-// The sharded work-stealing executor: bots are partitioned across N
-// shards and each worker carries one bot through
+// The pipeline's executor: bots are partitioned across N shards and
+// each worker carries one bot through
 // collect → traceability → code analysis → honeypot before taking the
 // next, stealing from loaded shards once its own drains. Per-stage
 // concurrency is bounded by counting gates, so the listing server,
 // code host, and gateway each see tunable pressure regardless of how
 // many workers are in flight.
 //
-// Determinism: every per-bot outcome is computed by the same
-// stage-package primitives the sequential executor uses (Crawler,
-// Analyzer, CampaignRunner), per-experiment RNG feeds are derived from
-// stable identities, aggregates are commutative, and final assembly
-// walks canonical (listing/sample) order — so a fault-free sharded run
-// is byte-equivalent to a sequential run on the same seed.
+// Determinism: every per-bot outcome is computed by the stage
+// packages' per-bot primitives (Crawler, Analyzer, CampaignRunner),
+// per-experiment RNG feeds are derived from stable identities,
+// aggregates are commutative, and final assembly walks canonical
+// (listing/sample) order — so a fault-free run renders the same
+// results on the same seed at any shard count, one included.
 package core
 
 import (
@@ -32,8 +32,8 @@ import (
 	"repro/internal/traceability"
 )
 
-// ScaleStats is the sharded executor's scheduler and throughput
-// accounting, which the report's scale block and perfbench read.
+// ScaleStats is the executor's scheduler and throughput accounting,
+// which the report's scale block and perfbench read.
 type ScaleStats struct {
 	Bots    int   `json:"bots"`   // listed bots (collect items)
 	Sample  int   `json:"sample"` // honeypot sample size
@@ -77,9 +77,9 @@ type workItem struct {
 	sampleIdx int
 }
 
-// shardStage is one pipeline stage's shared envelope under the sharded
-// executor: its watchdog-armed context, its concurrency gate, and the
-// closer of its run-level trace span.
+// shardStage is one pipeline stage's shared envelope: its
+// watchdog-armed context, its concurrency gate, and the closer of its
+// run-level trace span.
 type shardStage struct {
 	name   string
 	ctx    context.Context
@@ -166,8 +166,7 @@ func (a *Auditor) runSharded(r *run) error {
 	}
 	defer cleanup()
 
-	// failWith translates a fatal error exactly as the sequential
-	// executor's stageFail does: watchdog stalls surface as
+	// failWith translates a fatal error: watchdog stalls surface as
 	// ErrStageStalled, cancellation as the context's error.
 	failWith := func(stage string, err error) error {
 		cleanup()
@@ -204,15 +203,14 @@ func (a *Auditor) runSharded(r *run) error {
 		OnLink: r.ck.noteLink,
 	})
 
-	camp := honeypot.NewCampaignRunner(a.honeypotEnv(), a.eco, a.campaignConfig(r.hpRes, nil))
+	camp := honeypot.NewCampaignRunner(a.honeypotEnv(), a.eco, a.campaignConfig(r.hpRes))
 	if err := camp.ApplyResume(stHp.ctx); err != nil {
 		return failWith("honeypot", err)
 	}
 
 	// The work plan: one item per listed bot, plus one per sampled bot
 	// the (possibly partial) listing missed, so a truncated pagination
-	// never silently drops honeypot experiments the sequential path
-	// would have run.
+	// never silently drops a sampled bot's honeypot experiment.
 	items := make([]workItem, 0, len(ids))
 	byBot := make(map[int]int, len(ids))
 	for i, id := range ids {
@@ -373,8 +371,7 @@ func (a *Auditor) runSharded(r *run) error {
 
 	// ---- canonical-order assembly ----
 
-	// Collect: records and the quarantine ledger in listing order,
-	// exactly as CrawlResultContext assembles them.
+	// Collect: records and the quarantine ledger in listing order.
 	for i := range ids {
 		switch {
 		case records[i] != nil:
@@ -401,8 +398,8 @@ func (a *Auditor) runSharded(r *run) error {
 	// order never mattered; hand them over as-is.
 	res.Table2, res.DataTypes = t2, dt
 
-	// Code analysis: fold per-bot slots in listing order through the
-	// same NoteBot/Add path the batch assembly uses.
+	// Code analysis: fold per-bot slots in listing order through
+	// NoteBot/Add.
 	cres := codeanalysis.NewResult()
 	analyses := make([]*codeanalysis.RepoAnalysis, 0, len(ids))
 	for i := range ids {

@@ -1,7 +1,7 @@
-// Tests for the sharded work-stealing executor: outcome parity with
-// the sequential executor on a fixed seed, graceful degradation under
-// chaos, crash/resume convergence mid-shard, and the concurrent
-// stage-timing report.
+// Tests for the sharded work-stealing executor: outcome parity between
+// a sequential (one-shard) run and a sharded one on a fixed seed,
+// graceful degradation under chaos, crash/resume convergence
+// mid-shard, and the concurrent stage-timing report.
 package core
 
 import (
@@ -72,18 +72,18 @@ func normalizeVerdicts(vs []*honeypot.Verdict) []comparableVerdict {
 }
 
 // TestShardedMatchesSequential is the parity gate: on the same seed, a
-// fault-free sharded run must produce outcome-equivalent results to the
-// sequential executor — identical records, traceability tables, code
-// analysis, quarantine ledger (empty), and honeypot detections.
+// fault-free four-shard run must produce outcome-equivalent results to
+// a one-shard run, which carries one bot at a time — identical
+// records, traceability tables, code analysis, quarantine ledger
+// (empty), and honeypot detections.
 func TestShardedMatchesSequential(t *testing.T) {
 	newOpts := func(shards int) Options {
 		return Options{
 			Seed:    11,
 			NumBots: 150,
 			Honeypot: HoneypotOptions{
-				Sample:      15,
-				Concurrency: 4,
-				Settle:      400 * time.Millisecond,
+				Sample: 15,
+				Settle: 400 * time.Millisecond,
 			},
 			Exec: ExecOptions{Shards: shards},
 			Obs:  obs.NewRegistry(),
@@ -98,14 +98,14 @@ func TestShardedMatchesSequential(t *testing.T) {
 		return runAll(t, a)
 	}
 
-	seq := runWith(0)
+	seq := runWith(1)
 	shd := runWith(4)
 
-	if seq.Scale != nil {
-		t.Fatal("sequential run reported ScaleStats")
+	if seq.Scale == nil || shd.Scale == nil {
+		t.Fatal("a run reported no ScaleStats")
 	}
-	if shd.Scale == nil {
-		t.Fatal("sharded run reported no ScaleStats")
+	if s := seq.Scale; s.Shards != 1 || s.Workers != 1 {
+		t.Fatalf("sequential Scale reports %d shards × %d workers, want 1 × 1", s.Shards, s.Workers)
 	}
 	if !reflect.DeepEqual(shd.Records, seq.Records) {
 		t.Fatalf("records diverged: sharded %d, sequential %d", len(shd.Records), len(seq.Records))
@@ -178,9 +178,8 @@ func TestShardedStageWorkerBounds(t *testing.T) {
 		Seed:    13,
 		NumBots: 80,
 		Honeypot: HoneypotOptions{
-			Sample:      8,
-			Concurrency: 4,
-			Settle:      300 * time.Millisecond,
+			Sample: 8,
+			Settle: 300 * time.Millisecond,
 		},
 		Exec: ExecOptions{
 			Shards:       6,
@@ -209,7 +208,7 @@ func TestShardedStageWorkerBounds(t *testing.T) {
 // infrastructure errors, and — because fault decisions are a pure
 // function of (seed, endpoint, attempt) and every bot is carried by
 // exactly one worker — replays the identical quarantine ledger run
-// after run, matching the sequential executor's ledger too.
+// after run, matching a one-shard run's ledger too.
 func TestShardedChaosDeterministic(t *testing.T) {
 	run := func(shards int) *Results {
 		prof, err := faults.Named("moderate")
@@ -221,9 +220,8 @@ func TestShardedChaosDeterministic(t *testing.T) {
 			Seed:    7,
 			NumBots: 120,
 			Honeypot: HoneypotOptions{
-				Sample:      12,
-				Concurrency: 4,
-				Settle:      300 * time.Millisecond,
+				Sample: 12,
+				Settle: 300 * time.Millisecond,
 			},
 			Exec:   ExecOptions{Shards: shards},
 			Faults: FaultOptions{Injector: inj},
@@ -254,7 +252,7 @@ func TestShardedChaosDeterministic(t *testing.T) {
 	if got, want := keys(second), keys(first); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sharded chaos ledger not deterministic:\n%v\nvs\n%v", got, want)
 	}
-	seq := run(0)
+	seq := run(1)
 	if got, want := keys(first), keys(seq); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sharded chaos ledger diverged from sequential:\n%v\nvs\n%v", got, want)
 	}
@@ -265,7 +263,7 @@ func TestShardedChaosDeterministic(t *testing.T) {
 
 // TestShardedKillResumeNoReexecution is the resume-mid-shard gate: kill
 // a sharded run at successive checkpoint writes, resume each time, and
-// require convergence to the uninterrupted sequential baseline with
+// require convergence to the uninterrupted one-shard baseline with
 // zero bots lost and zero settled work re-executed.
 func TestShardedKillResumeNoReexecution(t *testing.T) {
 	const (
@@ -278,9 +276,8 @@ func TestShardedKillResumeNoReexecution(t *testing.T) {
 			Seed:    seed,
 			NumBots: bots,
 			Honeypot: HoneypotOptions{
-				Sample:      sample,
-				Concurrency: 4,
-				Settle:      300 * time.Millisecond,
+				Sample: sample,
+				Settle: 300 * time.Millisecond,
 			},
 			Exec: ExecOptions{Shards: shards},
 			Obs:  obs.NewRegistry(),
@@ -288,7 +285,7 @@ func TestShardedKillResumeNoReexecution(t *testing.T) {
 	}
 
 	base := func() *Results {
-		a, err := NewAuditor(newOpts(0))
+		a, err := NewAuditor(newOpts(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,9 +407,8 @@ func TestShardedConcurrentTimingsReport(t *testing.T) {
 		Seed:    11,
 		NumBots: 60,
 		Honeypot: HoneypotOptions{
-			Sample:      6,
-			Concurrency: 4,
-			Settle:      300 * time.Millisecond,
+			Sample: 6,
+			Settle: 300 * time.Millisecond,
 		},
 		Exec: ExecOptions{Shards: 2},
 		Obs:  obs.NewRegistry(),

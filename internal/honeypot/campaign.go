@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/canary"
 	"repro/internal/corpus"
@@ -20,13 +19,15 @@ import (
 type CampaignConfig struct {
 	// SampleSize is how many most-voted bots to test (paper: 500).
 	SampleSize int
-	// Concurrency bounds simultaneous experiments.
+	// Concurrency is ignored.
+	//
+	// Deprecated: no executor reads it. The caller that drives
+	// CampaignRunner.RunBot decides how many experiments run at once.
 	Concurrency int
 	// Experiment is the per-bot configuration.
 	Experiment Config
 	// Strict restores the pre-quarantine behavior: the first failed
-	// experiment aborts the campaign and discards every completed
-	// verdict. Default (false) quarantines the failing bot and keeps
+	// experiment is a fatal error from RunBot. Default (false) quarantines the failing bot and keeps
 	// the rest of the campaign's work.
 	//
 	// Strict interacts with Resume deliberately: the resume pass is
@@ -40,10 +41,6 @@ type CampaignConfig struct {
 	// work_skipped) with their prior verdict or quarantine copied into
 	// the result.
 	Resume *CampaignResume
-	// OnSettled observes each freshly settled bot — the checkpointer's
-	// feed. v is nil when the experiment was quarantined (qerr set).
-	// Not called for resumed skips. May be called concurrently.
-	OnSettled func(botID int, v *Verdict, qerr error)
 }
 
 // CampaignResume carries a checkpoint's settled experiment outcomes
@@ -151,11 +148,11 @@ func RunnerForBehavior(b synth.Behavior) BotRunner {
 	}
 }
 
-// CampaignRunner is the campaign's per-bot form for caller-scheduled
-// executors: the sharded pipeline applies the resume pass, then drives
-// RunBot for each sample index under its own scheduling, and assembles
-// the result with Result. CampaignContext is a thin worker pool over
-// the same machinery, so both executors settle bots identically.
+// CampaignRunner runs the campaign one bot at a time for a
+// caller-scheduled executor: the pipeline applies the resume pass, then
+// drives RunBot for each sample index under its own scheduling, and
+// assembles the result with Result. Each experiment records one
+// honeypot bot-stage span on any tracer carried by its context.
 type CampaignRunner struct {
 	env Env
 	eco *synth.Ecosystem
@@ -169,14 +166,11 @@ type CampaignRunner struct {
 }
 
 // NewCampaignRunner selects the sample and prepares per-bot slots.
-// cfg's sample-size and concurrency defaults are applied here, before
-// the sample selection and feed derivation that depend on them.
+// cfg's sample-size default is applied here, before the sample
+// selection and feed derivation that depend on it.
 func NewCampaignRunner(env Env, eco *synth.Ecosystem, cfg CampaignConfig) *CampaignRunner {
 	if cfg.SampleSize <= 0 {
 		cfg.SampleSize = 500
-	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 8
 	}
 	sample := SelectMostVoted(eco.Bots, cfg.SampleSize)
 	return &CampaignRunner{
@@ -236,8 +230,10 @@ func (cr *CampaignRunner) ApplyResume(ctx context.Context) error {
 
 // RunBot runs the fresh experiment for sample index i (a no-op for
 // resume-settled indexes), records the outcome in the runner's slots,
-// and returns it for checkpoint batching. The returned error is fatal:
-// context cancellation, or any failure under cfg.Strict.
+// and returns it for checkpoint batching: a verdict, or the error that
+// quarantined the bot. The returned err is fatal: context cancellation,
+// or any failure under cfg.Strict. RunBot is safe for concurrent use on
+// distinct indexes.
 func (cr *CampaignRunner) RunBot(ctx context.Context, i int) (v *Verdict, qerr error, err error) {
 	if cr.settled[i] {
 		return nil, nil, nil
@@ -253,7 +249,7 @@ func (cr *CampaignRunner) RunBot(ctx context.Context, i int) (v *Verdict, qerr e
 	// Each experiment gets its own derived feed so concurrent guilds
 	// neither interleave one RNG stream nor lose per-experiment
 	// determinism — the same property makes verdicts independent of
-	// which executor (sequential or sharded) scheduled the experiment.
+	// which worker ran the experiment, and when.
 	expEnv := cr.env
 	expEnv.Feed = corpus.Derive(int64(cr.cfg.SampleSize), int64(b.ID))
 	expCtx := journal.WithBot(ctx, b.ID, b.Name)
@@ -273,15 +269,9 @@ func (cr *CampaignRunner) RunBot(ctx context.Context, i int) (v *Verdict, qerr e
 		journal.Emit(expCtx, "honeypot", journal.KindBotQuarantined, map[string]any{
 			"error": rerr.Error(),
 		})
-		if cr.cfg.OnSettled != nil {
-			cr.cfg.OnSettled(b.ID, nil, rerr)
-		}
 		return nil, rerr, nil
 	}
 	cr.verdicts[i] = verdict
-	if cr.cfg.OnSettled != nil {
-		cr.cfg.OnSettled(b.ID, verdict, nil)
-	}
 	return verdict, nil, nil
 }
 
@@ -310,65 +300,6 @@ func (cr *CampaignRunner) Result() *CampaignResult {
 		}
 	}
 	return res
-}
-
-// CampaignContext runs isolated experiments over the most-voted sample
-// of an ecosystem with cancellation, mirroring the paper's 500-bot
-// study: no new experiments launch after ctx is done, and in-flight
-// experiments abort at their next wait point. Each experiment records
-// one honeypot bot-stage span on any tracer carried by ctx.
-//
-// By default a failed experiment quarantines its bot — counted,
-// journaled, skipped — and every completed verdict is kept; set
-// cfg.Strict to restore the historical first-error-discards-everything
-// behavior. Context cancellation always ends the campaign, but the
-// verdicts completed before the cut are returned alongside the error.
-func CampaignContext(ctx context.Context, env Env, eco *synth.Ecosystem, cfg CampaignConfig) (*CampaignResult, error) {
-	cr := NewCampaignRunner(env, eco, cfg)
-	if err := cr.ApplyResume(ctx); err != nil {
-		return nil, err
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cr.cfg.Concurrency)
-	var firstErr error
-	var mu sync.Mutex
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	for i := range cr.sample {
-		if err := ctx.Err(); err != nil {
-			fail(err)
-			break
-		}
-		if cr.settled[i] {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if _, _, err := cr.RunBot(ctx, i); err != nil {
-				fail(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	res := cr.Result()
-	if firstErr != nil {
-		if cfg.Strict {
-			return nil, firstErr
-		}
-		// Cancellation (the only lenient-mode firstErr): hand back the
-		// work that did complete alongside the error.
-		return res, firstErr
-	}
-	return res, nil
 }
 
 // KindsTriggered summarizes which token kinds fired across a campaign.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/synth"
@@ -36,6 +37,42 @@ func (s *flakySolver) Solve(challenge string) (string, error) {
 	return strconv.Itoa(a + b), nil
 }
 
+// campaign drives a CampaignRunner as the pipeline's executor does: the
+// resume pass over the whole sample, then RunBot for each sample index,
+// workers at a time. settled, when set, observes each fresh outcome,
+// one call at a time. The result is nil whenever the error is not.
+func campaign(ctx context.Context, env Env, eco *synth.Ecosystem, cfg CampaignConfig, workers int, settled func(botID int, v *Verdict, qerr error)) (*CampaignResult, error) {
+	cr := NewCampaignRunner(env, eco, cfg)
+	if err := cr.ApplyResume(ctx); err != nil {
+		return nil, err
+	}
+	sample := cr.Sample()
+	errs := make([]error, len(sample))
+	var mu sync.Mutex
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(sample); i = int(next.Add(1)) - 1 {
+				v, qerr, err := cr.RunBot(ctx, i)
+				errs[i] = err
+				if settled != nil && (v != nil || qerr != nil) {
+					mu.Lock()
+					settled(sample[i].ID, v, qerr)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return cr.Result(), nil
+}
+
 // TestCampaignQuarantinesFailedExperiment is the regression test for
 // the firstErr-discards-everything bug: one failed experiment must
 // quarantine that bot and keep every completed verdict.
@@ -43,14 +80,11 @@ func TestCampaignQuarantinesFailedExperiment(t *testing.T) {
 	env := newEnv(t)
 	eco := synth.Generate(synth.Config{Seed: 7, NumBots: 30})
 
-	cfg := CampaignConfig{
-		SampleSize:  5,
-		Concurrency: 1, // sequential, so exactly the first sampled bot fails
-		Experiment:  testCfg(),
-	}
+	cfg := CampaignConfig{SampleSize: 5, Experiment: testCfg()}
 	cfg.Experiment.Solver = &flakySolver{failN: 1}
 
-	res, err := CampaignContext(context.Background(), env, eco, cfg)
+	// One worker, so exactly the first sampled bot fails.
+	res, err := campaign(context.Background(), env, eco, cfg, 1, nil)
 	if err != nil {
 		t.Fatalf("lenient campaign errored: %v", err)
 	}
@@ -81,15 +115,10 @@ func TestCampaignStrictModeAborts(t *testing.T) {
 	env := newEnv(t)
 	eco := synth.Generate(synth.Config{Seed: 7, NumBots: 30})
 
-	cfg := CampaignConfig{
-		SampleSize:  5,
-		Concurrency: 1,
-		Experiment:  testCfg(),
-		Strict:      true,
-	}
+	cfg := CampaignConfig{SampleSize: 5, Experiment: testCfg(), Strict: true}
 	cfg.Experiment.Solver = &flakySolver{failN: 1}
 
-	res, err := CampaignContext(context.Background(), env, eco, cfg)
+	res, err := campaign(context.Background(), env, eco, cfg, 1, nil)
 	if err == nil {
 		t.Fatal("strict campaign should abort on the failed experiment")
 	}

@@ -190,13 +190,9 @@ func TestInstallCaptchaSolved(t *testing.T) {
 func TestCampaignFindsTheOneMaliciousBot(t *testing.T) {
 	env := newEnv(t)
 	eco := synth.Generate(synth.Config{Seed: 77, NumBots: 300})
-	cfg := CampaignConfig{
-		SampleSize:  40,
-		Concurrency: 8,
-		Experiment:  testCfg(),
-	}
+	cfg := CampaignConfig{SampleSize: 40, Experiment: testCfg()}
 	cfg.Experiment.Settle = 400 * time.Millisecond
-	res, err := CampaignContext(context.Background(), env, eco, cfg)
+	res, err := campaign(context.Background(), env, eco, cfg, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -15,23 +14,19 @@ import (
 // runBaseline runs a small campaign to completion and returns its
 // result plus the settled outcomes the checkpointer would have
 // recorded, keyed by bot ID.
-func runBaseline(t *testing.T, cfg CampaignConfig, eco *synth.Ecosystem) (*CampaignResult, *CampaignResume) {
+func runBaseline(t *testing.T, cfg CampaignConfig, eco *synth.Ecosystem, workers int) (*CampaignResult, *CampaignResume) {
 	t.Helper()
 	resume := &CampaignResume{
 		Verdicts:    make(map[int]*Verdict),
 		Quarantined: make(map[int]error),
 	}
-	var mu sync.Mutex
-	cfg.OnSettled = func(botID int, v *Verdict, qerr error) {
-		mu.Lock()
-		defer mu.Unlock()
+	res, err := campaign(context.Background(), newEnv(t), eco, cfg, workers, func(botID int, v *Verdict, qerr error) {
 		if qerr != nil {
 			resume.Quarantined[botID] = qerr
 			return
 		}
 		resume.Verdicts[botID] = v
-	}
-	res, err := CampaignContext(context.Background(), newEnv(t), eco, cfg)
+	})
 	if err != nil {
 		t.Fatalf("baseline campaign: %v", err)
 	}
@@ -43,8 +38,8 @@ func runBaseline(t *testing.T, cfg CampaignConfig, eco *synth.Ecosystem) (*Campa
 // single experiment, and journals one work_skipped per settled bot.
 func TestCampaignResumeSkipsSettled(t *testing.T) {
 	eco := synth.Generate(synth.Config{Seed: 7, NumBots: 30})
-	cfg := CampaignConfig{SampleSize: 5, Concurrency: 2, Experiment: testCfg()}
-	base, resume := runBaseline(t, cfg, eco)
+	cfg := CampaignConfig{SampleSize: 5, Experiment: testCfg()}
+	base, resume := runBaseline(t, cfg, eco, 2)
 	if base.Tested != 5 {
 		t.Fatalf("baseline Tested = %d, want 5", base.Tested)
 	}
@@ -53,11 +48,10 @@ func TestCampaignResumeSkipsSettled(t *testing.T) {
 	jnl := journal.New(&buf, journal.Options{Obs: obs.NewRegistry()})
 	reCfg := cfg
 	reCfg.Resume = resume
-	reCfg.OnSettled = func(botID int, v *Verdict, qerr error) {
-		t.Errorf("bot %d re-executed on resume (verdict=%v err=%v)", botID, v != nil, qerr)
-	}
 	ctx := journal.NewContext(context.Background(), jnl)
-	res, err := CampaignContext(ctx, newEnv(t), eco, reCfg)
+	res, err := campaign(ctx, newEnv(t), eco, reCfg, 2, func(botID int, v *Verdict, qerr error) {
+		t.Errorf("bot %d re-executed on resume (verdict=%v err=%v)", botID, v != nil, qerr)
+	})
 	if err != nil {
 		t.Fatalf("resumed campaign: %v", err)
 	}
@@ -106,8 +100,8 @@ func TestCampaignResumeSkipsSettled(t *testing.T) {
 // those — run fresh, and the union matches an uninterrupted campaign.
 func TestCampaignResumePartial(t *testing.T) {
 	eco := synth.Generate(synth.Config{Seed: 7, NumBots: 30})
-	cfg := CampaignConfig{SampleSize: 5, Concurrency: 2, Experiment: testCfg()}
-	base, resume := runBaseline(t, cfg, eco)
+	cfg := CampaignConfig{SampleSize: 5, Experiment: testCfg()}
+	base, resume := runBaseline(t, cfg, eco, 2)
 
 	// Keep only the first two sampled bots "settled"; the rest vanish
 	// from the checkpoint as if the crash predated them.
@@ -122,16 +116,12 @@ func TestCampaignResumePartial(t *testing.T) {
 		}
 	}
 
-	var mu sync.Mutex
 	fresh := make(map[int]bool)
 	reCfg := cfg
 	reCfg.Resume = partial
-	reCfg.OnSettled = func(botID int, v *Verdict, qerr error) {
-		mu.Lock()
+	res, err := campaign(context.Background(), newEnv(t), eco, reCfg, 2, func(botID int, v *Verdict, qerr error) {
 		fresh[botID] = true
-		mu.Unlock()
-	}
-	res, err := CampaignContext(context.Background(), newEnv(t), eco, reCfg)
+	})
 	if err != nil {
 		t.Fatalf("partially resumed campaign: %v", err)
 	}
@@ -156,9 +146,9 @@ func TestCampaignStrictResumeFailsFast(t *testing.T) {
 	eco := synth.Generate(synth.Config{Seed: 7, NumBots: 30})
 	// Baseline runs lenient so the flaky first experiment becomes a
 	// recorded quarantine rather than an abort.
-	cfg := CampaignConfig{SampleSize: 5, Concurrency: 1, Experiment: testCfg()}
+	cfg := CampaignConfig{SampleSize: 5, Experiment: testCfg()}
 	cfg.Experiment.Solver = &flakySolver{failN: 1}
-	base, resume := runBaseline(t, cfg, eco)
+	base, resume := runBaseline(t, cfg, eco, 1)
 	if len(base.Quarantined) != 1 {
 		t.Fatalf("baseline quarantined = %d, want 1", len(base.Quarantined))
 	}
@@ -168,13 +158,12 @@ func TestCampaignStrictResumeFailsFast(t *testing.T) {
 	reCfg.Resume = resume
 	// A solver call would mean an experiment actually launched.
 	reCfg.Experiment.Solver = &flakySolver{failN: 1 << 30}
-	reCfg.OnSettled = func(botID int, v *Verdict, qerr error) {
-		t.Errorf("bot %d re-executed during strict resume", botID)
-	}
 	var buf bytes.Buffer
 	jnl := journal.New(&buf, journal.Options{Obs: obs.NewRegistry()})
 	ctx := journal.NewContext(context.Background(), jnl)
-	res, err := CampaignContext(ctx, newEnv(t), eco, reCfg)
+	res, err := campaign(ctx, newEnv(t), eco, reCfg, 1, func(botID int, v *Verdict, qerr error) {
+		t.Errorf("bot %d re-executed during strict resume", botID)
+	})
 	if err == nil {
 		t.Fatal("strict resume over a checkpointed quarantine must fail")
 	}

@@ -105,11 +105,10 @@ func chromeTID(shard int32) int {
 func usOf(ns int64) float64 { return float64(ns) / 1e3 }
 
 // laneTID spreads one track across extra tracks when its slices
-// overlap: lane 0 is the track itself. Two things overlap on one
-// track: the sharded executor's four run-level stage spans, which share
-// one wall-clock window on the run track, and the sequential
-// executor's concurrent bots hashed into one buffer. Spill lanes keep
-// the export strictly nested in both cases.
+// overlap: lane 0 is the track itself. The executor's four run-level
+// stage spans share one wall-clock window on the run track, and any
+// spans recorded concurrently without a worker land on that track too.
+// Spill lanes keep the export strictly nested.
 func laneTID(baseTID, lane int) int { return baseTID*64 + lane }
 
 // assignLanes places one track's duration slices (sorted by start,

@@ -109,9 +109,9 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 }
 
 // ControlShard marks ops that belong to no worker shard: run-level
-// stage spans and anything recorded outside the sharded executor. The
-// tracer maps them onto an extra buffer and exports them as the "run"
-// track.
+// stage spans and anything recorded without a scheduler worker, such
+// as listing pagination. The tracer maps them onto an extra buffer and
+// exports them as the "run" track.
 const ControlShard = -1
 
 // Op is one completed operation. Times are nanoseconds since the
@@ -221,24 +221,14 @@ func (t *Tracer) Shards() int {
 // sinceNS is the op clock: nanoseconds since the tracer started.
 func (t *Tracer) sinceNS() int64 { return t.now().Sub(t.start).Nanoseconds() }
 
-// bufIndex maps an op's shard onto a buffer index. A worker shard is
-// its own buffer; a bot recorded without a worker identity (the
-// sequential executor) is spread across the worker buffers by ID so
-// collection still shards; anything else lands in the control buffer
-// at index Shards().
-func (t *Tracer) bufIndex(shard, botID int32) int {
-	n := len(t.bufs) - 1
-	switch {
-	case shard >= 0 && int(shard) < n:
-		return int(shard)
-	case shard == ControlShard && botID != 0:
-		idx := int(botID) % n
-		if idx < 0 {
-			idx = -idx
-		}
-		return idx
+// bufIndex maps an op's shard onto a buffer index: a worker shard is
+// its own buffer, and anything else lands in the control buffer at
+// index Shards().
+func (t *Tracer) bufIndex(shard int32) int {
+	if n := len(t.bufs) - 1; shard < 0 || int(shard) >= n {
+		return n
 	}
-	return n
+	return int(shard)
 }
 
 // record appends one finished op to its shard buffer, stamping the
@@ -246,7 +236,7 @@ func (t *Tracer) bufIndex(shard, botID int32) int {
 // into the buffer's per-stage totals; below LevelBots that fold is all
 // it leaves behind.
 func (t *Tracer) record(op Op) {
-	idx := t.bufIndex(op.Shard, op.BotID)
+	idx := t.bufIndex(op.Shard)
 	op.Shard = ControlShard
 	if idx < len(t.bufs)-1 {
 		op.Shard = int32(idx)

@@ -204,29 +204,36 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 }
 
-func TestSequentialHashingShardsCollection(t *testing.T) {
+// TestOpsWithoutWorkerLandOnControlTrack: a worker's ops go to its own
+// buffer; a bot span recorded without a worker (or with one out of
+// range), like a run-level span, lands on the control track.
+func TestOpsWithoutWorkerLandOnControlTrack(t *testing.T) {
 	tr := newFakeTracer(4, LevelBots)
-	// No WithWorker: the sequential executor records at ControlShard
-	// with a bot ID, which must hash onto a worker buffer.
 	ctx := ContextWithStage(context.Background(), tr, "collect")
 	StartStage(WithBot(ctx, 6, "bot-6"))()
-	ops := tr.Ops()
-	if len(ops) != 1 || ops[0].Shard != 6%4 {
-		t.Fatalf("ops = %+v, want one op on shard %d", ops, 6%4)
-	}
-	// Run-level span without a bot lands on the control track.
+	StartStage(WithBot(WithWorker(ctx, 2), 7, "bot-7"))()
+	StartStage(WithBot(WithWorker(ctx, 9), 8, "bot-8"))()
 	tr.StartRunSpan("collect")()
+	want := map[string]int32{"bot-6": ControlShard, "bot-7": 2, "bot-8": ControlShard, "": ControlShard}
+	got := map[string]int32{}
 	for _, op := range tr.Ops() {
-		if op.Kind == KindRun && op.Shard != ControlShard {
-			t.Fatalf("run span on shard %d, want control", op.Shard)
+		got[op.Bot] = op.Shard
+	}
+	if len(got) != len(want) {
+		t.Fatalf("ops by bot %v, want %v", got, want)
+	}
+	for bot, shard := range want {
+		if got[bot] != shard {
+			t.Errorf("bot %q op on shard %d, want %d", bot, got[bot], shard)
 		}
 	}
 }
 
 func TestChromeTraceLanesSplitOverlaps(t *testing.T) {
 	tr := newFakeTracer(1, LevelBots)
-	// Two bots overlapping on the same buffer (sequential executor
-	// hash collision): lanes must keep the export valid.
+	// Two bots overlapping on one track (spans recorded without a
+	// worker share the control track): lanes must keep the export
+	// valid.
 	ctxA := WithBot(ContextWithStage(context.Background(), tr, "collect"), 1, "a")
 	ctxB := WithBot(ContextWithStage(context.Background(), tr, "collect"), 2, "b")
 	endA := StartStage(ctxA)

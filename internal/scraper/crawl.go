@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/htmlparse"
 	"repro/internal/obs/journal"
@@ -64,8 +63,6 @@ type Record struct {
 
 // Config tunes a crawl.
 type Config struct {
-	// Workers is the fetch parallelism (default 4).
-	Workers int
 	// Retries re-attempts detail pages whose expected elements are
 	// missing (§3 iv: react to NoSuchElementException). Default 2.
 	Retries int
@@ -79,11 +76,6 @@ type Config struct {
 	// bots are skipped idempotently (journaled as work_skipped) with
 	// their prior outcome copied into the result.
 	Resume *ResumeState
-	// OnSettled, when set, observes each freshly settled bot — the
-	// checkpointer's feed. rec is nil when the bot was quarantined
-	// (qerr set). Not called for resumed skips; the checkpoint already
-	// holds those. May be called concurrently from worker goroutines.
-	OnSettled func(id int, rec *Record, qerr error)
 	// OnListed observes the discovered listing before per-bot fetches
 	// begin, so a checkpoint can persist the work plan itself.
 	OnListed func(ids []int)
@@ -101,44 +93,10 @@ type ResumeState struct {
 	Quarantined map[int]error
 }
 
-// Quarantined records one bot abandoned after its fetches exhausted
-// their retries — counted and skipped rather than fatal.
-type Quarantined struct {
-	BotID int
-	Err   error
-}
-
-// CrawlResult is the degradation-aware crawl output: the records that
-// were scraped, the bots that were quarantined, and the listing error
-// (if pagination itself ended early). A crawl under fault pressure
-// returns all three instead of collapsing to a single error.
-type CrawlResult struct {
-	// IDs is the full listing in discovery order — the crawl's work
-	// plan, persisted by checkpoints so a resumed run need not
-	// re-paginate.
-	IDs []int
-	// Records holds one record per successfully scraped bot, in listing
-	// order.
-	Records []*Record
-	// Quarantined lists bots whose scrape failed after retries, in
-	// listing order.
-	Quarantined []Quarantined
-	// ListErr is the pagination failure that ended ID discovery early,
-	// nil when every page was walked.
-	ListErr error
-}
-
-// Degraded reports whether the crawl lost anything.
-func (r *CrawlResult) Degraded() bool {
-	return r.ListErr != nil || len(r.Quarantined) > 0
-}
-
-// Crawler exposes the crawl's per-bot machinery to caller-scheduled
-// executors: List discovers the work plan and Settle carries one bot
-// through scrape → quarantine → journal exactly as CrawlResultContext's
-// own workers do. The sharded pipeline drives a Crawler directly so the
-// scheduler, not this package, decides which bot runs when; Settle is
-// safe for concurrent use.
+// Crawler is the crawl, one bot at a time: List discovers the work plan
+// and Settle carries one bot through scrape → quarantine → journal. The
+// caller's scheduler, not this package, decides which bot runs when;
+// Settle is safe for concurrent use.
 type Crawler struct {
 	Client *Client
 	Cfg    Config
@@ -155,11 +113,8 @@ type SettledBot struct {
 	Resumed bool
 }
 
-// NewCrawler builds a Crawler with cfg's worker/retry defaults applied.
+// NewCrawler builds a Crawler with cfg's retry default applied.
 func NewCrawler(c *Client, cfg Config) *Crawler {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
-	}
 	if cfg.Retries <= 0 {
 		cfg.Retries = 2
 	}
@@ -248,9 +203,6 @@ func (cr *Crawler) Settle(ctx context.Context, id int) (SettledBot, error) {
 		journal.Emit(botCtx, "scraper", journal.KindBotQuarantined, map[string]any{
 			"error": err.Error(),
 		})
-		if cr.Cfg.OnSettled != nil {
-			cr.Cfg.OnSettled(id, nil, err)
-		}
 		return SettledBot{Quarantine: err}, nil
 	}
 	botName = rec.Name
@@ -261,90 +213,20 @@ func (cr *Crawler) Settle(ctx context.Context, id int) (SettledBot, error) {
 			"votes":          rec.Votes,
 			"has_policy":     rec.PolicyLinkFound && !rec.PolicyLinkDead,
 		})
-	if cr.Cfg.OnSettled != nil {
-		cr.Cfg.OnSettled(id, rec, nil)
-	}
 	return SettledBot{Rec: rec}, nil
 }
 
-// CrawlResultContext walks the whole listing and degrades instead of
-// aborting: a bot whose scrape fails after exhausting retries is
-// quarantined (counted, journaled, skipped), and a pagination failure
-// yields the bots discovered so far with ListErr set. The returned
-// error is non-nil only for context cancellation — or any failure at
-// all when cfg.Strict is set. This is the only crawl entry point; the
-// sharded executor schedules the same per-bot path via Crawler.
-func CrawlResultContext(ctx context.Context, c *Client, cfg Config) (*CrawlResult, error) {
-	cr := NewCrawler(c, cfg)
-	cfg = cr.Cfg
-	ids, listErr, err := cr.List(ctx)
-	if err != nil {
-		return nil, err
-	}
-	records := make([]*Record, len(ids))
-	quarantined := make([]error, len(ids))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	var firstErr error
-	var errMu sync.Mutex
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	for i, id := range ids {
-		if err := ctx.Err(); err != nil {
-			fail(err)
-			break
-		}
-		if out, ok, rerr := cr.resumed(ctx, id); rerr != nil {
-			fail(rerr)
-			break
-		} else if ok {
-			records[i], quarantined[i] = out.Rec, out.Quarantine
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i, id int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out, err := cr.Settle(ctx, id)
-			if err != nil {
-				fail(err)
-				return
-			}
-			records[i], quarantined[i] = out.Rec, out.Quarantine
-		}(i, id)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	res := &CrawlResult{ListErr: listErr, IDs: ids}
-	for i, rec := range records {
-		switch {
-		case rec != nil:
-			res.Records = append(res.Records, rec)
-		case quarantined[i] != nil:
-			res.Quarantined = append(res.Quarantined, Quarantined{BotID: ids[i], Err: quarantined[i]})
-		}
-	}
-	return res, nil
-}
-
-// ListBotIDsContext is ListBotIDs with cancellation. On a page-fetch
-// failure it returns the IDs discovered so far alongside the error, so
-// a degradation-aware caller can crawl the partial listing.
+// ListBotIDsContext walks the listing's pages and returns every bot ID
+// in listing order. On a page-fetch failure it returns the IDs
+// discovered so far alongside the error, so a degradation-aware caller
+// can crawl the partial listing.
 func ListBotIDsContext(ctx context.Context, c *Client, maxPages int) ([]int, error) {
 	var ids []int
 	for page := 1; ; page++ {
 		if maxPages > 0 && page > maxPages {
 			break
 		}
-		doc, err := c.GetContext(ctx, fmt.Sprintf("/bots?page=%d", page))
+		doc, err := getPage(ctx, c, fmt.Sprintf("/bots?page=%d", page))
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return ids, err
@@ -439,10 +321,11 @@ func ScrapeBotContext(ctx context.Context, c *Client, id, retries int) (*Record,
 	return rec, nil
 }
 
-// getPage fetches a detail, site or policy page, repeating the fetch
-// once after a timeout. The site delays only invite redirects, so a
-// timed-out page means this process stalled, not that the page is
-// slow; the repeat counts in Stats.Retries.
+// getPage fetches a listing, detail, site or policy page, repeating the
+// fetch once after a timeout. The site delays only invite redirects, so
+// a timed-out page means this process stalled, not that the page is
+// slow; the repeat counts in Stats.Retries. Without it, one stalled
+// listing page would end pagination and truncate the crawl.
 func getPage(ctx context.Context, c *Client, ref string) (*htmlparse.Node, error) {
 	doc, err := c.GetContext(ctx, ref)
 	if errors.Is(err, ErrTimeout) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -113,26 +114,23 @@ func TestCrawlQuarantinesFailingBot(t *testing.T) {
 	defer srv.Close()
 
 	c := newTestClient(t, srv.URL, nil)
-	res, err := CrawlResultContext(context.Background(), c, Config{Workers: 2, Retries: 1})
+	recs, quarantined, _, err := crawl(context.Background(), c, Config{Retries: 1}, 2)
 	if err != nil {
 		t.Fatalf("lenient crawl errored: %v", err)
 	}
-	if len(res.Records) != 2 {
-		t.Fatalf("records = %d, want 2", len(res.Records))
+	if len(recs) != 2 {
+		t.Fatalf("records = %d, want 2", len(recs))
 	}
-	if len(res.Quarantined) != 1 || res.Quarantined[0].BotID != 2 {
-		t.Fatalf("quarantined = %+v, want bot 2 only", res.Quarantined)
+	if len(quarantined) != 1 || quarantined[2] == nil {
+		t.Fatalf("quarantined = %v, want bot 2 only", quarantined)
 	}
-	if !errors.Is(res.Quarantined[0].Err, ErrUnavailable) {
-		t.Fatalf("quarantine error = %v, want ErrUnavailable", res.Quarantined[0].Err)
-	}
-	if !res.Degraded() {
-		t.Fatal("crawl with a quarantine must report Degraded")
+	if !errors.Is(quarantined[2], ErrUnavailable) {
+		t.Fatalf("quarantine error = %v, want ErrUnavailable", quarantined[2])
 	}
 
 	// Strict mode restores the historical abort-on-first-failure.
 	c2 := newTestClient(t, srv.URL, nil)
-	if _, err := CrawlResultContext(context.Background(), c2, Config{Workers: 2, Retries: 1, Strict: true}); err == nil {
+	if _, err := crawlStrict(c2, Config{Retries: 1}, 2); err == nil {
 		t.Fatal("strict crawl should abort on the failing bot")
 	}
 }
@@ -159,20 +157,20 @@ func TestPartialListingSurvives(t *testing.T) {
 	defer srv.Close()
 
 	c := newTestClient(t, srv.URL, nil)
-	res, err := CrawlResultContext(context.Background(), c, Config{Workers: 2, Retries: 1})
+	recs, _, listErr, err := crawl(context.Background(), c, Config{Retries: 1}, 2)
 	if err != nil {
 		t.Fatalf("lenient crawl errored: %v", err)
 	}
-	if res.ListErr == nil {
-		t.Fatal("ListErr not set for a dead page 2")
+	if listErr == nil {
+		t.Fatal("listErr not set for a dead page 2")
 	}
-	if len(res.Records) != 2 {
-		t.Fatalf("records = %d, want the 2 bots page 1 listed", len(res.Records))
+	if len(recs) != 2 {
+		t.Fatalf("records = %d, want the 2 bots page 1 listed", len(recs))
 	}
 
 	// Strict mode propagates the pagination failure.
 	c2 := newTestClient(t, srv.URL, nil)
-	if _, err := CrawlResultContext(context.Background(), c2, Config{Workers: 2, Retries: 1, Strict: true}); err == nil {
+	if _, err := crawlStrict(c2, Config{Retries: 1}, 2); err == nil {
 		t.Fatal("strict crawl should fail on a dead listing page")
 	}
 }
@@ -197,7 +195,7 @@ func TestCrawlCancellationStillAborts(t *testing.T) {
 	c := newTestClient(t, srv.URL, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, err := CrawlResultContext(ctx, c, Config{Workers: 2, Retries: 1})
+	_, _, _, err := crawl(ctx, c, Config{Retries: 1}, 2)
 	if err == nil {
 		t.Fatal("cancelled crawl returned nil error")
 	}
@@ -247,5 +245,40 @@ func TestStalledPageIsRepeated(t *testing.T) {
 				t.Fatalf("Timeouts %d, Retries %d; want 1 and 1", st.Timeouts, st.Retries)
 			}
 		})
+	}
+}
+
+// TestStalledListingPageIsRepeated: the first fetch of listing page 2
+// stalls past the client timeout. The site never delays listing pages,
+// so pagination repeats the fetch once instead of ending with a partial
+// listing.
+func TestStalledListingPageIsRepeated(t *testing.T) {
+	var stalledOnce atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Query().Get("page") {
+		case "1":
+			io.WriteString(w, listingPage(1, 2)+`<a id="next-page" href="/bots?page=2">Next</a>`)
+		case "2":
+			if !stalledOnce.Swap(true) {
+				<-r.Context().Done() // the client gives up first
+				return
+			}
+			io.WriteString(w, listingPage(3, 4))
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer srv.Close()
+
+	c := newTestClient(t, srv.URL, nil)
+	ids, err := ListBotIDsContext(context.Background(), c, 0)
+	if err != nil {
+		t.Fatalf("ListBotIDsContext: %v (listed %v)", err, ids)
+	}
+	if want := []int{1, 2, 3, 4}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("listed %v, want %v", ids, want)
+	}
+	if st := c.Stats(); st.Timeouts != 1 || st.Retries != 1 {
+		t.Fatalf("Timeouts %d, Retries %d; want 1 and 1", st.Timeouts, st.Retries)
 	}
 }

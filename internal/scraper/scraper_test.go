@@ -3,6 +3,8 @@ package scraper
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,15 +13,50 @@ import (
 	"repro/internal/synth"
 )
 
-// crawlStrict preserves the deleted Crawl wrapper's contract for these
-// tests: background context, first failed bot aborts the crawl.
-func crawlStrict(c *Client, cfg Config) ([]*Record, error) {
-	cfg.Strict = true
-	res, err := CrawlResultContext(context.Background(), c, cfg)
+// crawl drives a Crawler as the pipeline's executor does: List, then
+// Settle every listed bot, workers at a time. Records come back in
+// listing order and quarantines keyed by bot ID; listErr is a
+// lenient-mode pagination failure and err joins every fatal error.
+func crawl(ctx context.Context, c *Client, cfg Config, workers int) (recs []*Record, quarantined map[int]error, listErr, err error) {
+	cr := NewCrawler(c, cfg)
+	ids, listErr, err := cr.List(ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	return res.Records, nil
+	outs := make([]SettledBot, len(ids))
+	errs := make([]error, len(ids))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(ids); i = int(next.Add(1)) - 1 {
+				outs[i], errs[i] = cr.Settle(ctx, ids[i])
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, nil, nil, err
+	}
+	quarantined = make(map[int]error)
+	for i, out := range outs {
+		switch {
+		case out.Rec != nil:
+			recs = append(recs, out.Rec)
+		case out.Quarantine != nil:
+			quarantined[ids[i]] = out.Quarantine
+		}
+	}
+	return recs, quarantined, listErr, nil
+}
+
+// crawlStrict is a crawl in which the first failed bot is fatal.
+func crawlStrict(c *Client, cfg Config, workers int) ([]*Record, error) {
+	cfg.Strict = true
+	recs, _, _, err := crawl(context.Background(), c, cfg, workers)
+	return recs, err
 }
 
 // startSite spins up a listing server over a synthetic population.
@@ -195,7 +232,7 @@ func TestPolicyScraping(t *testing.T) {
 func TestFlakyDetailRetries(t *testing.T) {
 	srv, eco := startSite(t, 80, listing.AntiScrape{FlakyEvery: 2})
 	c := newTestClient(t, srv.BaseURL(), nil)
-	recs, err := crawlStrict(c, Config{Workers: 4, Retries: 2})
+	recs, err := crawlStrict(c, Config{Retries: 2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +265,7 @@ func TestCaptchaFlow(t *testing.T) {
 	srv, _ := startSite(t, 30, listing.AntiScrape{CaptchaEvery: 5})
 	solver := &TwoCaptchaSim{CostPerSolve: 299}
 	c := newTestClient(t, srv.BaseURL(), solver)
-	recs, err := crawlStrict(c, Config{Workers: 2})
+	recs, err := crawlStrict(c, Config{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,12 +286,12 @@ func TestCaptchaFlow(t *testing.T) {
 func TestCaptchaWithoutSolverFails(t *testing.T) {
 	srv, _ := startSite(t, 30, listing.AntiScrape{CaptchaEvery: 3})
 	c := newTestClient(t, srv.BaseURL(), nil)
-	_, err := crawlStrict(c, Config{Workers: 1})
+	_, err := crawlStrict(c, Config{}, 1)
 	if err == nil {
 		t.Fatal("crawl should fail when captchas cannot be solved")
 	}
 	c2 := newTestClient(t, srv.BaseURL(), FailingSolver{})
-	if _, err := crawlStrict(c2, Config{Workers: 1}); err == nil {
+	if _, err := crawlStrict(c2, Config{}, 1); err == nil {
 		t.Fatal("crawl should fail when the solver errors")
 	}
 }
@@ -262,7 +299,7 @@ func TestCaptchaWithoutSolverFails(t *testing.T) {
 func TestRateLimitBackoff(t *testing.T) {
 	srv, _ := startSite(t, 30, listing.AntiScrape{RequestsPerSecond: 50, Burst: 5})
 	c := newTestClient(t, srv.BaseURL(), nil)
-	recs, err := crawlStrict(c, Config{Workers: 8})
+	recs, err := crawlStrict(c, Config{}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

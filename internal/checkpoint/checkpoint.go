@@ -25,7 +25,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/codeanalysis"
@@ -202,9 +201,6 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir reports the store's directory.
-func (st *Store) Dir() string { return st.dir }
-
 // Path returns the snapshot file path for a run ID.
 func (st *Store) Path(runID string) string {
 	return filepath.Join(st.dir, sanitize(runID)+".ckpt")
@@ -268,24 +264,6 @@ func (st *Store) Load(runID string) (*Snapshot, error) {
 		return nil, fmt.Errorf("checkpoint: load %s: %w", runID, err)
 	}
 	return s, nil
-}
-
-// List returns the run IDs with snapshots in the store, sorted.
-func (st *Store) List() ([]string, error) {
-	entries, err := os.ReadDir(st.dir)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: list: %w", err)
-	}
-	var ids []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".ckpt") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		ids = append(ids, strings.TrimSuffix(name, ".ckpt"))
-	}
-	sort.Strings(ids)
-	return ids, nil
 }
 
 // Latest loads the most recently written snapshot in the store

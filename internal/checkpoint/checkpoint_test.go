@@ -139,14 +139,6 @@ func TestStoreSaveLoadLatest(t *testing.T) {
 		t.Fatalf("Load returned run %q", got.RunID)
 	}
 
-	ids, err := st.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ids, []string{"run-100", "run-200"}) {
-		t.Fatalf("List = %v", ids)
-	}
-
 	latest, err := st.Latest()
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +225,8 @@ func TestStoreAfterSaveHook(t *testing.T) {
 }
 
 func TestStoreSanitizesRunID(t *testing.T) {
-	st, err := NewStore(t.TempDir())
+	dir := t.TempDir()
+	st, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +234,7 @@ func TestStoreSanitizesRunID(t *testing.T) {
 	if err := st.Save(sample(hostile)); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Path(hostile); filepath.Dir(got) != st.Dir() {
+	if got := st.Path(hostile); filepath.Dir(got) != dir {
 		t.Fatalf("sanitized path escaped the store dir: %s", got)
 	}
 	if _, err := st.Load(hostile); err != nil {

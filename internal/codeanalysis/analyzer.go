@@ -21,7 +21,6 @@ import (
 // bot that references it.
 type Analyzer struct {
 	Client *scraper.Client
-	Opts   AnalyzeOptions
 
 	mu      sync.Mutex
 	flights map[string]*linkFlight
@@ -30,10 +29,9 @@ type Analyzer struct {
 // linkFlight is one unique link's resolution, shared by every bot
 // referencing it.
 type linkFlight struct {
-	done    chan struct{}
-	ra      *RepoAnalysis // master copy (BotID unset), nil on failure
-	err     error
-	resumed bool
+	done chan struct{}
+	ra   *RepoAnalysis // master copy (BotID unset), nil on failure
+	err  error
 }
 
 // SettledLink is one bot's code-analysis outcome.
@@ -42,13 +40,11 @@ type SettledLink struct {
 	RA *RepoAnalysis
 	// Quarantine is the fetch failure that set the bot aside.
 	Quarantine error
-	// Resumed marks an outcome replayed from Opts.Resume.
-	Resumed bool
 }
 
 // NewAnalyzer builds an Analyzer sharing one flight cache.
-func NewAnalyzer(c *scraper.Client, opts AnalyzeOptions) *Analyzer {
-	return &Analyzer{Client: c, Opts: opts, flights: make(map[string]*linkFlight)}
+func NewAnalyzer(c *scraper.Client, _ AnalyzeOptions) *Analyzer {
+	return &Analyzer{Client: c, flights: make(map[string]*linkFlight)}
 }
 
 // resolve returns the link's flight, fetching it exactly once across
@@ -68,42 +64,17 @@ func (az *Analyzer) resolve(ctx context.Context, link string) (*linkFlight, erro
 	az.flights[link] = f
 	az.mu.Unlock()
 	defer close(f.done)
-	if r := az.Opts.Resume; r != nil {
-		if ra, ok := r.Settled[link]; ok {
-			clone := *ra
-			f.ra, f.resumed = &clone, true
-			return f, nil
-		}
-		if msg, ok := r.Failed[link]; ok {
-			f.err, f.resumed = errors.New(msg), true
-			return f, nil
-		}
-	}
 	endOp := trace.StartOpDetail(ctx, "codehost_fetch", link)
-	ra, err := AnalyzeLinkContext(ctx, az.Client, 0, link)
+	// A cancelled fetch reaches the waiters through f.err too.
+	f.ra, f.err = AnalyzeLinkContext(ctx, az.Client, 0, link)
 	endOp()
-	if err != nil {
-		f.err = err
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return f, nil // waiters see the cancellation through f.err
-		}
-		if az.Opts.OnLink != nil {
-			az.Opts.OnLink(link, nil, err.Error())
-		}
-		return f, nil
-	}
-	f.ra = ra
-	if az.Opts.OnLink != nil {
-		az.Opts.OnLink(link, ra, "")
-	}
 	return f, nil
 }
 
 // SettleBot resolves one bot's link through the flight cache and emits
-// the bot's journal milestone: code_flag, bot_quarantined, or
-// work_skipped for a link settled in the checkpoint. Each call records
-// one codeanalysis bot-stage span. The returned error is fatal (context
-// cancellation only).
+// the bot's journal milestone: code_flag or bot_quarantined. Each call
+// records one codeanalysis bot-stage span. The returned error is fatal
+// (context cancellation only).
 func (az *Analyzer) SettleBot(ctx context.Context, botID int, link string) (SettledLink, error) {
 	ctx = trace.WithBot(ctx, botID, "")
 	defer trace.StartStage(ctx)()
@@ -116,36 +87,20 @@ func (az *Analyzer) SettleBot(ctx context.Context, botID int, link string) (Sett
 		if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
 			return SettledLink{}, f.err
 		}
-		if f.resumed {
-			journal.Emit(botCtx, "codeanalysis", journal.KindWorkSkipped, map[string]any{
-				"stage":  "codeanalysis",
-				"reason": "quarantined in checkpoint",
-				"link":   link,
-			})
-		} else {
-			journal.Emit(botCtx, "codeanalysis", journal.KindBotQuarantined, map[string]any{
-				"link":  link,
-				"error": f.err.Error(),
-			})
-		}
-		return SettledLink{Quarantine: f.err, Resumed: f.resumed}, nil
+		journal.Emit(botCtx, "codeanalysis", journal.KindBotQuarantined, map[string]any{
+			"link":  link,
+			"error": f.err.Error(),
+		})
+		return SettledLink{Quarantine: f.err}, nil
 	}
 	clone := *f.ra
 	clone.BotID = botID
-	if f.resumed {
-		journal.Emit(botCtx, "codeanalysis", journal.KindWorkSkipped, map[string]any{
-			"stage":  "codeanalysis",
-			"reason": "settled in checkpoint",
-			"link":   link,
-		})
-	} else {
-		journal.Emit(botCtx, "codeanalysis", journal.KindCodeFlag, map[string]any{
-			"outcome":        string(clone.Outcome),
-			"language":       clone.MainLanguage,
-			"analyzed":       clone.Analyzed,
-			"performs_check": clone.PerformsCheck,
-			"patterns":       clone.PatternsFound,
-		})
-	}
-	return SettledLink{RA: &clone, Resumed: f.resumed}, nil
+	journal.Emit(botCtx, "codeanalysis", journal.KindCodeFlag, map[string]any{
+		"outcome":        string(clone.Outcome),
+		"language":       clone.MainLanguage,
+		"analyzed":       clone.Analyzed,
+		"performs_check": clone.PerformsCheck,
+		"patterns":       clone.PatternsFound,
+	})
+	return SettledLink{RA: &clone}, nil
 }

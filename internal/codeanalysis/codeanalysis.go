@@ -175,9 +175,6 @@ type QuarantinedLink struct {
 	Err   error
 }
 
-// Degraded reports whether any link analysis was lost.
-func (r *Result) Degraded() bool { return len(r.Quarantined) > 0 }
-
 // NewResult creates an empty aggregate with its maps allocated.
 func NewResult() *Result {
 	return &Result{
@@ -220,30 +217,12 @@ func (r *Result) Add(ra *RepoAnalysis) {
 	}
 }
 
-// AnalyzeOptions gives an Analyzer its checkpoint/resume hooks. The
-// stage's dedup unit is the unique link, so resume state and the
-// checkpointer's feed are keyed by link, not bot: one settled link
-// covers every bot referencing it.
-type AnalyzeOptions struct {
-	// Resume, when set, replays settled link outcomes from a
-	// checkpoint; settled links are never re-fetched.
-	Resume *AnalyzeResume
-	// OnLink observes each freshly settled unique link — the
-	// checkpointer's feed. ra is nil when the link failed (errText
-	// set). Not called for resumed skips. May be called concurrently.
-	OnLink func(link string, ra *RepoAnalysis, errText string)
-}
-
-// AnalyzeResume carries a checkpoint's settled link outcomes back into
-// a resumed run.
-type AnalyzeResume struct {
-	// Settled maps unique link → its analysis (BotID field is
-	// meaningless; it is re-stamped per referencing bot).
-	Settled map[string]*RepoAnalysis
-	// Failed maps unique link → the error text that quarantined its
-	// bots.
-	Failed map[string]string
-}
+// AnalyzeOptions is empty.
+//
+// Deprecated: an Analyzer takes no options. The executor that drives
+// Analyzer.SettleBot replays checkpointed links and feeds the
+// checkpoint itself.
+type AnalyzeOptions struct{}
 
 // ValidRepos returns the count of links that resolved to repositories.
 func (r *Result) ValidRepos() int { return r.Outcomes[OutcomeValidRepo] }

@@ -87,6 +87,14 @@ type ExecOptions struct {
 	// Strict restores fail-fast semantics: the first stage-level or
 	// per-bot failure aborts the pipeline instead of quarantining the
 	// bot and continuing with partial results.
+	//
+	// Strict interacts with resume deliberately: the executor restores
+	// the checkpoint's experiments across the WHOLE honeypot sample
+	// before any fresh experiment launches, so a Strict run resumed over
+	// a checkpoint that recorded a honeypot quarantine fails fast —
+	// settled verdicts are replayed, nothing is re-run, and no new guild
+	// is ever created. A checkpointed collect quarantine fails the run
+	// when its bot comes up.
 	Strict bool
 	// Shards is the executor's shard and worker count: each worker
 	// carries one bot through all four stages, stealing from loaded
@@ -519,9 +527,8 @@ func (a *Auditor) honeypotEnv() honeypot.Env {
 	}
 }
 
-// campaignConfig assembles the campaign configuration, with the resume
-// state that replays settled experiments.
-func (a *Auditor) campaignConfig(resume *honeypot.CampaignResume) honeypot.CampaignConfig {
+// campaignConfig assembles the campaign configuration.
+func (a *Auditor) campaignConfig() honeypot.CampaignConfig {
 	expCfg := honeypot.DefaultConfig()
 	expCfg.Settle = a.opts.Honeypot.Settle
 	expCfg.Solver = a.opts.Scrape.Solver
@@ -529,7 +536,6 @@ func (a *Auditor) campaignConfig(resume *honeypot.CampaignResume) honeypot.Campa
 		SampleSize: a.opts.Honeypot.Sample,
 		Experiment: expCfg,
 		Strict:     a.opts.Exec.Strict,
-		Resume:     resume,
 	}
 }
 
@@ -541,10 +547,7 @@ type run struct {
 	res    *Results
 	tracer *bottrace.Tracer
 	ck     *ckptState
-
-	scrapeRes *scraper.ResumeState
-	codeRes   *codeanalysis.AnalyzeResume
-	hpRes     *honeypot.CampaignResume
+	replay *replay // the resumed snapshot's settled work; empty when fresh
 
 	collectBudget *retry.Budget
 	codeBudget    *retry.Budget
@@ -614,9 +617,6 @@ func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 	// the journal reads as one logical run), or start a fresh one.
 	var ck *ckptState
 	var resumed *checkpoint.Snapshot
-	var scrapeRes *scraper.ResumeState
-	var codeRes *codeanalysis.AnalyzeResume
-	var hpRes *honeypot.CampaignResume
 	if cc := a.opts.Checkpoint; cc.Store != nil {
 		base := &checkpoint.Snapshot{
 			RunID:          runID,
@@ -635,9 +635,6 @@ func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 			// The resumed run re-finalizes; Completed is re-stamped by
 			// the final snapshot.
 			base.Completed = false
-			scrapeRes = scraperResume(snap)
-			codeRes = codeResume(snap)
-			hpRes = honeypotResume(snap)
 		}
 		ck = newCkptState(cc, base, a.obs)
 	}
@@ -686,9 +683,7 @@ func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 		res:       res,
 		tracer:    tracer,
 		ck:        ck,
-		scrapeRes: scrapeRes,
-		codeRes:   codeRes,
-		hpRes:     hpRes,
+		replay:    newReplay(resumed),
 		cDegraded: a.obs.Counter("core_stages_degraded_total"),
 	}
 

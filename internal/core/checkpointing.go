@@ -1,10 +1,12 @@
 // Crash-safe checkpointing for the pipeline: RunAllContext persists
-// progress snapshots every N settled bots, at the end of the pipelined
-// phase and at finish, and
-// a resumed run replays settled (bot, stage) pairs instead of
-// re-executing them. The snapshot format and atomic store live in
-// internal/checkpoint; this file is the pipeline-side accumulator that
-// feeds them and the resume loader that validates and unpacks them.
+// progress snapshots every N settled outcomes, at the end of the
+// pipelined phase and at finish, and a resumed run replays settled
+// (bot, stage) pairs instead of re-executing them. The snapshot format
+// and atomic store live in internal/checkpoint; this file holds the
+// resume loader, the read-only replay index the executor consults
+// before each stage, and the accumulator that the executor's
+// per-worker outcome batches feed. The stage packages know nothing of
+// checkpoints.
 package core
 
 import (
@@ -41,9 +43,11 @@ type CheckpointOptions struct {
 	Dir string
 	// Store persists the snapshots; overrides Dir.
 	Store *checkpoint.Store
-	// Every writes a snapshot after that many freshly settled bots, in
-	// addition to the unconditional writes at the end of the pipelined
-	// phase and at finish (default 25).
+	// Every writes a snapshot once that many fresh outcomes (a bot's
+	// collect, code-analysis or honeypot result) have reached the
+	// checkpoint, in addition to the unconditional writes at the end of
+	// the pipelined phase and at finish (default 25). Outcomes arrive in
+	// per-worker batches, so a save lands at a batch boundary.
 	Every int
 	// Resume selects a snapshot to resume from: a run ID, or
 	// ResumeLatest for the newest in the store. Empty starts fresh.
@@ -75,44 +79,67 @@ func (a *Auditor) loadResume() (*checkpoint.Snapshot, error) {
 	return snap, nil
 }
 
-// scraperResume unpacks a snapshot's collect-stage work into the form
-// the crawl consumes.
-func scraperResume(snap *checkpoint.Snapshot) *scraper.ResumeState {
-	rs := &scraper.ResumeState{
-		IDs:         snap.BotIDs,
-		Records:     make(map[int]*scraper.Record, len(snap.Records)),
-		Quarantined: make(map[int]error, len(snap.CollectQuarantine)),
+// replay indexes a loaded snapshot's settled work for the executor,
+// which looks each bot up here before each stage and reuses what it
+// finds instead of running the stage. It is built once, before any
+// worker starts, and only read after. It copies what it indexes into
+// its own maps, so it shares none with the snapshot the checkpointer
+// keeps writing. A fresh run's replay is empty.
+type replay struct {
+	ids     []int                     // the listing, empty when pagination must run
+	collect map[int]pendingOutcome    // by bot ID: Rec or Qerr
+	links   map[string]pendingOutcome // by link: RA (BotID 0) or Qerr
+	hp      map[int]pendingOutcome    // by bot ID: V or Qerr
+}
+
+// newReplay indexes snap; a nil snap (a fresh run) indexes nothing.
+func newReplay(snap *checkpoint.Snapshot) *replay {
+	if snap == nil {
+		return &replay{}
+	}
+	rp := &replay{
+		ids:     append([]int(nil), snap.BotIDs...),
+		collect: make(map[int]pendingOutcome, len(snap.Records)+len(snap.CollectQuarantine)),
+		links:   make(map[string]pendingOutcome, len(snap.CodeLinks)+len(snap.CodeLinkErrs)),
+		hp:      make(map[int]pendingOutcome, len(snap.Verdicts)+len(snap.HoneypotQuarantine)),
 	}
 	for _, rec := range snap.Records {
-		rs.Records[rec.ID] = rec
+		rp.collect[rec.ID] = pendingOutcome{Rec: rec}
 	}
 	for _, q := range snap.CollectQuarantine {
-		rs.Quarantined[q.BotID] = errors.New(q.Err)
+		rp.collect[q.BotID] = pendingOutcome{Qerr: errors.New(q.Err)}
 	}
-	return rs
-}
-
-// codeResume unpacks the code-analysis links.
-func codeResume(snap *checkpoint.Snapshot) *codeanalysis.AnalyzeResume {
-	return &codeanalysis.AnalyzeResume{
-		Settled: snap.CodeLinks,
-		Failed:  snap.CodeLinkErrs,
+	for link, ra := range snap.CodeLinks {
+		rp.links[link] = pendingOutcome{Link: link, RA: ra}
 	}
-}
-
-// honeypotResume unpacks the settled experiments, keyed by listing ID.
-func honeypotResume(snap *checkpoint.Snapshot) *honeypot.CampaignResume {
-	hr := &honeypot.CampaignResume{
-		Verdicts:    make(map[int]*honeypot.Verdict, len(snap.Verdicts)),
-		Quarantined: make(map[int]error, len(snap.HoneypotQuarantine)),
+	for link, msg := range snap.CodeLinkErrs {
+		rp.links[link] = pendingOutcome{Link: link, Qerr: errors.New(msg)}
 	}
 	for _, v := range snap.Verdicts {
-		hr.Verdicts[v.Subject.ListingID] = v
+		rp.hp[v.Subject.ListingID] = pendingOutcome{V: v}
 	}
 	for _, q := range snap.HoneypotQuarantine {
-		hr.Quarantined[q.BotID] = errors.New(q.Err)
+		rp.hp[q.BotID] = pendingOutcome{Qerr: errors.New(q.Err)}
 	}
-	return hr
+	return rp
+}
+
+// skipped journals one (bot, stage) pair replayed from the checkpoint
+// instead of run, under the component of the stage package that runs
+// it fresh.
+func skipped(ctx context.Context, stage string, botID int, name string, p pendingOutcome) {
+	component := stage
+	if stage == "collect" {
+		component = "scraper"
+	}
+	fields := map[string]any{"stage": stage, "reason": "settled in checkpoint"}
+	if p.Qerr != nil {
+		fields["reason"] = "quarantined in checkpoint"
+	}
+	if p.Link != "" {
+		fields["link"] = p.Link
+	}
+	journal.Emit(journal.WithBot(ctx, botID, name), component, journal.KindWorkSkipped, fields)
 }
 
 // ckptState accumulates settled work during a run and writes snapshots
@@ -124,7 +151,7 @@ type ckptState struct {
 
 	mu    sync.Mutex
 	snap  *checkpoint.Snapshot
-	fresh int // settled bots since the last periodic write
+	fresh int // outcomes folded in since the last write
 	// budgets are snapshotted into BudgetLeft at every write so a
 	// resumed run restores each stage's remainder.
 	budgets map[string]*retry.Budget
@@ -184,28 +211,17 @@ func (c *ckptState) noteListed(ids []int) {
 	c.mu.Unlock()
 }
 
-// noteLink records one freshly settled unique code link.
-func (c *ckptState) noteLink(link string, ra *codeanalysis.RepoAnalysis, errText string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if errText != "" {
-		c.snap.CodeLinkErrs[link] = errText
-	} else {
-		c.snap.CodeLinks[link] = ra
-	}
-	c.writeIfDueLocked("codeanalysis")
-	c.mu.Unlock()
-}
-
-// pendingOutcome is one settled per-bot outcome buffered by an executor
-// worker between checkpoint flushes: either a collect outcome (Rec or
-// Qerr) or a honeypot outcome (V or Qerr), tagged by Stage.
+// pendingOutcome is one settled per-bot outcome, tagged by Stage: a
+// collect outcome (Rec or Qerr), a code-analysis outcome for the bot's
+// Link (RA or Qerr), or a honeypot outcome (V or Qerr). Executor
+// workers buffer fresh ones between checkpoint flushes; the replay
+// index holds the checkpointed ones.
 type pendingOutcome struct {
-	Stage string // "collect" or "honeypot"
+	Stage string // "collect", "codeanalysis" or "honeypot"
 	BotID int
+	Link  string
 	Rec   *scraper.Record
+	RA    *codeanalysis.RepoAnalysis
 	V     *honeypot.Verdict
 	Qerr  error
 }
@@ -215,7 +231,8 @@ type pendingOutcome struct {
 // at once, and per-outcome locking plus per-outcome write checks would
 // serialize them on checkpoint state. The batch still counts toward
 // the periodic threshold, so durability lags by at most one worker
-// buffer.
+// buffer. It is the only periodic save path, and workers call it with
+// no stage gate held.
 func (c *ckptState) noteBatch(batch []pendingOutcome) {
 	if c == nil || len(batch) == 0 {
 		return
@@ -223,6 +240,16 @@ func (c *ckptState) noteBatch(batch []pendingOutcome) {
 	c.mu.Lock()
 	for _, p := range batch {
 		switch {
+		case p.Stage == "codeanalysis" && p.Qerr != nil:
+			c.snap.CodeLinkErrs[p.Link] = p.Qerr.Error()
+		case p.Stage == "codeanalysis":
+			// Bots sharing a link share its one fetch and so its
+			// outcome: store it once, as the master copy with no bot ID.
+			if _, ok := c.snap.CodeLinks[p.Link]; !ok {
+				master := *p.RA
+				master.BotID = 0
+				c.snap.CodeLinks[p.Link] = &master
+			}
 		case p.Qerr != nil && p.Stage == "collect":
 			c.snap.CollectQuarantine = append(c.snap.CollectQuarantine,
 				checkpoint.QEntry{BotID: p.BotID, Err: p.Qerr.Error()})
@@ -262,15 +289,6 @@ func (c *ckptState) finish() {
 	c.snap.Completed = true
 	c.writeLocked("final")
 	c.mu.Unlock()
-}
-
-// writeIfDueLocked counts one settled bot and writes when the periodic
-// threshold is reached. Caller holds c.mu.
-func (c *ckptState) writeIfDueLocked(stage string) {
-	c.fresh++
-	if c.fresh >= c.every {
-		c.writeLocked(stage)
-	}
 }
 
 // writeLocked captures budget remainders and saves the snapshot. The

@@ -187,25 +187,41 @@ func (a *Auditor) runSharded(r *run) error {
 	phaseStart := time.Now()
 
 	// Listing discovery stays serial — it is one paginated walk — and
-	// runs under the collect stage's envelope.
-	crawler := scraper.NewCrawler(a.listClient, scraper.Config{
-		Strict:   a.opts.Exec.Strict,
-		Resume:   r.scrapeRes,
-		OnListed: r.ck.noteListed,
-	})
-	ids, listErr, err := crawler.List(stCollect.ctx)
-	if err != nil {
-		return failWith("collect", err)
+	// runs under the collect stage's envelope. A resumed run reuses the
+	// listing its checkpoint recorded, so it sees the identical work
+	// plan. A partial listing (pagination died mid-walk) is not a
+	// durable work plan: only a complete one is checkpointed.
+	rp := r.replay
+	crawler := scraper.NewCrawler(a.listClient, scraper.Config{Strict: a.opts.Exec.Strict})
+	ids := rp.ids
+	var listErr error
+	if len(ids) == 0 {
+		var err error
+		if ids, listErr, err = crawler.List(stCollect.ctx); err != nil {
+			return failWith("collect", err)
+		}
+		if listErr == nil {
+			r.ck.noteListed(ids)
+		}
 	}
 
-	az := codeanalysis.NewAnalyzer(a.codeClient, codeanalysis.AnalyzeOptions{
-		Resume: r.codeRes,
-		OnLink: r.ck.noteLink,
-	})
+	az := codeanalysis.NewAnalyzer(a.codeClient, codeanalysis.AnalyzeOptions{})
 
-	camp := honeypot.NewCampaignRunner(a.honeypotEnv(), a.eco, a.campaignConfig(r.hpRes))
-	if err := camp.ApplyResume(stHp.ctx); err != nil {
-		return failWith("honeypot", err)
+	// Restore the checkpointed experiments across the whole sample
+	// before any fresh one launches: a Strict run resumed over a
+	// checkpointed quarantine fails here, without re-running a settled
+	// experiment or creating a single guild.
+	camp := honeypot.NewCampaignRunner(a.honeypotEnv(), a.eco, a.campaignConfig())
+	for i, b := range camp.Sample() {
+		out, ok := rp.hp[b.ID]
+		if !ok {
+			continue
+		}
+		if out.Qerr != nil && a.opts.Exec.Strict {
+			return failWith("honeypot", fmt.Errorf("honeypot: bot %s: %w", b.Name, out.Qerr))
+		}
+		camp.Restore(i, out.V, out.Qerr)
+		skipped(stHp.ctx, "honeypot", b.ID, b.Name, out)
 	}
 
 	// The work plan: one item per listed bot, plus one per sampled bot
@@ -239,9 +255,10 @@ func (a *Auditor) runSharded(r *run) error {
 	var t2 report.Table2Data
 	dt := traceability.NewDataTypeResult()
 
-	// Per-worker checkpoint batches: outcomes buffer locally and fold
-	// into the snapshot in batches, so workers do not serialize on
-	// checkpoint state per settled bot.
+	// Per-worker checkpoint batches: fresh outcomes buffer locally and
+	// fold into the snapshot in batches, so workers do not serialize on
+	// checkpoint state per settled bot. Workers add outcomes only after
+	// releasing the stage gate, so no save runs under one.
 	const batchEvery = 8
 	batches := make([][]pendingOutcome, workers)
 	addOutcome := func(w int, p pendingOutcome) {
@@ -267,24 +284,39 @@ func (a *Auditor) runSharded(r *run) error {
 		cancel(err)
 	}
 
+	// Each stage first looks the bot up in the replay index and reuses
+	// a checkpointed outcome as it is: a replayed bot takes no gate slot
+	// and records no stage span.
 	fn := func(wctx context.Context, w, idx int) {
 		it := items[idx]
 		var rec *scraper.Record
 		if it.listIdx >= 0 {
-			release, err := stCollect.gate.Acquire(wctx)
-			if err != nil {
-				return
+			out, ok := rp.collect[it.botID]
+			if ok {
+				if out.Qerr != nil && a.opts.Exec.Strict {
+					fatal("collect", fmt.Errorf("bot %d: %w", it.botID, out.Qerr))
+					return
+				}
+				name := ""
+				if out.Rec != nil {
+					name = out.Rec.Name
+				}
+				skipped(stCollect.ctx, "collect", it.botID, name, out)
+			} else {
+				release, err := stCollect.gate.Acquire(wctx)
+				if err != nil {
+					return
+				}
+				sb, err := crawler.Settle(bottrace.WithWorker(stCollect.ctx, w), it.botID)
+				release()
+				if err != nil {
+					fatal("collect", err)
+					return
+				}
+				out = pendingOutcome{Stage: "collect", BotID: it.botID, Rec: sb.Rec, Qerr: sb.Quarantine}
+				addOutcome(w, out)
 			}
-			out, err := crawler.Settle(bottrace.WithWorker(stCollect.ctx, w), it.botID)
-			release()
-			if err != nil {
-				fatal("collect", err)
-				return
-			}
-			records[it.listIdx], collectQ[it.listIdx] = out.Rec, out.Quarantine
-			if !out.Resumed && (out.Rec != nil || out.Quarantine != nil) {
-				addOutcome(w, pendingOutcome{Stage: "collect", BotID: it.botID, Rec: out.Rec, Qerr: out.Quarantine})
-			}
+			records[it.listIdx], collectQ[it.listIdx] = out.Rec, out.Qerr
 			rec = out.Rec
 		}
 		if rec != nil && rec.PermsValid {
@@ -297,20 +329,33 @@ func (a *Auditor) runSharded(r *run) error {
 			traceMu.Unlock()
 			release()
 			if rec.GitHubURL != "" {
-				release, err := stCode.gate.Acquire(wctx)
-				if err != nil {
-					return
+				out, ok := rp.links[rec.GitHubURL]
+				if ok {
+					skipped(stCode.ctx, "codeanalysis", rec.ID, "", out)
+					if out.RA != nil {
+						ra := *out.RA
+						ra.BotID = rec.ID
+						out.RA = &ra
+					}
+				} else {
+					release, err := stCode.gate.Acquire(wctx)
+					if err != nil {
+						return
+					}
+					sl, serr := az.SettleBot(bottrace.WithWorker(stCode.ctx, w), rec.ID, rec.GitHubURL)
+					release()
+					if serr != nil {
+						fatal("codeanalysis", serr)
+						return
+					}
+					out = pendingOutcome{Stage: "codeanalysis", BotID: rec.ID, Link: rec.GitHubURL, RA: sl.RA, Qerr: sl.Quarantine}
+					addOutcome(w, out)
 				}
-				sl, serr := az.SettleBot(bottrace.WithWorker(stCode.ctx, w), rec.ID, rec.GitHubURL)
-				release()
-				if serr != nil {
-					fatal("codeanalysis", serr)
-					return
-				}
-				codeRA[it.listIdx], codeQ[it.listIdx] = sl.RA, sl.Quarantine
+				codeRA[it.listIdx], codeQ[it.listIdx] = out.RA, out.Qerr
 			}
 		}
-		if it.sampleIdx >= 0 && !camp.Settled(it.sampleIdx) {
+		// A sampled bot the checkpoint settled was restored above.
+		if _, restored := rp.hp[it.botID]; it.sampleIdx >= 0 && !restored {
 			release, err := stHp.gate.Acquire(wctx)
 			if err != nil {
 				return
@@ -321,9 +366,7 @@ func (a *Auditor) runSharded(r *run) error {
 				fatal("honeypot", rerr)
 				return
 			}
-			if v != nil || qerr != nil {
-				addOutcome(w, pendingOutcome{Stage: "honeypot", BotID: it.botID, V: v, Qerr: qerr})
-			}
+			addOutcome(w, pendingOutcome{Stage: "honeypot", BotID: it.botID, V: v, Qerr: qerr})
 		}
 	}
 

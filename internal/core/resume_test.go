@@ -178,9 +178,18 @@ func TestKillResumeConvergesToBaseline(t *testing.T) {
 	}
 }
 
+// skipComponent is the journal component each stage's work_skipped
+// events carry: the stage package that runs the stage fresh.
+var skipComponent = map[string]string{
+	"collect":      "scraper",
+	"codeanalysis": "codeanalysis",
+	"honeypot":     "honeypot",
+}
+
 // verifyNoReexecution checks one resumed attempt's journal against the
 // snapshot it resumed from: every settled (bot, stage) pair must show
-// up as work_skipped, and none may appear as fresh work.
+// up as work_skipped, under its stage's component, and none may appear
+// as fresh work.
 func verifyNoReexecution(t *testing.T, attempt int, snap *checkpoint.Snapshot, events []journal.Event) {
 	t.Helper()
 	settledCollect := make(map[int]bool)
@@ -208,7 +217,14 @@ func verifyNoReexecution(t *testing.T, attempt int, snap *checkpoint.Snapshot, e
 				t.Errorf("attempt %d run_resumed settled = %v, want %v", attempt, got, want)
 			}
 		case journal.KindWorkSkipped:
-			skips[e.Fields["stage"].(string)]++
+			stage, _ := e.Fields["stage"].(string)
+			skips[stage]++
+			if want := skipComponent[stage]; e.Component != want {
+				t.Errorf("attempt %d work_skipped for stage %q from component %q, want %q", attempt, stage, e.Component, want)
+			}
+			if link, _ := e.Fields["link"].(string); stage == "codeanalysis" && link == "" {
+				t.Errorf("attempt %d codeanalysis work_skipped for bot %d carries no link", attempt, e.BotID)
+			}
 		case journal.KindBotDiscovered:
 			if settledCollect[e.BotID] {
 				t.Errorf("attempt %d re-executed settled collect work for bot %d", attempt, e.BotID)
@@ -230,6 +246,155 @@ func verifyNoReexecution(t *testing.T, attempt int, snap *checkpoint.Snapshot, e
 	}
 	if got, min := skips["codeanalysis"], len(snap.CodeLinks)+len(snap.CodeLinkErrs); got < min {
 		t.Errorf("attempt %d codeanalysis work_skipped = %d, want >= %d settled links", attempt, got, min)
+	}
+}
+
+// TestResumeBesideCheckpointedLinks resumes an 8-shard run from a
+// snapshot that already holds some code links while others are still
+// to fetch, so replayed links and freshly fetched ones meet across
+// workers. Under -race it pins that the replay index shares no map
+// with the snapshot the checkpointer keeps writing.
+func TestResumeBesideCheckpointedLinks(t *testing.T) {
+	st, err := checkpoint.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(resume string, abortAt int) ([]journal.Event, error) {
+		opts := Options{
+			Seed:       7,
+			NumBots:    600,
+			Honeypot:   HoneypotOptions{Sample: 2, Settle: 50 * time.Millisecond},
+			Exec:       ExecOptions{Shards: 8},
+			Checkpoint: CheckpointOptions{Store: st, Every: 25, Resume: resume},
+			Obs:        obs.NewRegistry(),
+		}
+		var buf bytes.Buffer
+		jnl := journal.New(&buf, journal.Options{Obs: opts.Obs})
+		opts.Journal = jnl
+		a, err := NewAuditor(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+		defer cancel()
+		ab := faults.NewAbort(abortAt, cancel)
+		st.AfterSave = func(*checkpoint.Snapshot) { ab.Tick() }
+		_, runErr := a.RunAllContext(ctx)
+		st.AfterSave = nil
+		a.Close()
+		if err := jnl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		events, _, err := journal.Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return events, runErr
+	}
+
+	if _, err := run("", 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run returned %v, want the injected abort", err)
+	}
+	snap, err := st.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.CodeLinks)+len(snap.CodeLinkErrs) == 0 {
+		t.Fatal("the killed run checkpointed no code link, so the resume replays none")
+	}
+
+	events, err := run(ResumeLatest, 0)
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	verifyNoReexecution(t, 1, snap, events)
+	fresh := 0
+	for _, e := range events {
+		if e.Kind == journal.KindCodeFlag {
+			fresh++
+		}
+	}
+	if fresh == 0 {
+		t.Fatal("the resumed run fetched no fresh link beside the replayed ones")
+	}
+	if last, err := st.Latest(); err != nil || !last.Completed {
+		t.Fatalf("final snapshot not completed (err %v)", err)
+	}
+}
+
+// TestStrictResumeFailsFast is the Strict×resume contract: a Strict run
+// resumed over a checkpoint that recorded a honeypot quarantine fails
+// with the saved cause before any experiment launches, although the
+// checkpoint leaves other sampled bots unsettled.
+func TestStrictResumeFailsFast(t *testing.T) {
+	st, err := checkpoint.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	newOpts := func() Options {
+		return Options{
+			Seed:     7,
+			NumBots:  30,
+			Honeypot: HoneypotOptions{Sample: 3, Settle: 100 * time.Millisecond},
+			Obs:      obs.NewRegistry(),
+		}
+	}
+	opts := newOpts()
+	opts.Checkpoint = CheckpointOptions{Store: st}
+	a, err := NewAuditor(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runAll(t, a)
+	a.Close()
+
+	// Turn one saved verdict into a quarantine and drop the others.
+	snap, err := st.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Verdicts) < 2 {
+		t.Fatalf("checkpointed run saved %d verdicts, want at least 2", len(snap.Verdicts))
+	}
+	const cause = "solver service down"
+	v := snap.Verdicts[0]
+	snap.HoneypotQuarantine = []checkpoint.QEntry{{BotID: v.Subject.ListingID, Name: v.Subject.Name, Err: cause}}
+	snap.Verdicts = nil
+	if err := st.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+
+	opts = newOpts()
+	opts.Exec.Strict = true
+	opts.Checkpoint = CheckpointOptions{Store: st, Resume: snap.RunID}
+	var buf bytes.Buffer
+	jnl := journal.New(&buf, journal.Options{Obs: opts.Obs})
+	opts.Journal = jnl
+	a, err = NewAuditor(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := a.RunAllContext(ctx)
+	if err == nil || !strings.Contains(err.Error(), cause) {
+		t.Fatalf("strict resume over a checkpointed quarantine returned %v, want the saved cause %q", err, cause)
+	}
+	if res != nil {
+		t.Fatal("strict resume must not return results")
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, _, err := journal.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events {
+		if e.Kind == journal.KindExperimentStarted {
+			t.Fatalf("strict resume launched an experiment for bot %d before failing", e.BotID)
+		}
 	}
 }
 

@@ -29,25 +29,7 @@ type CampaignConfig struct {
 	// Strict restores the pre-quarantine behavior: the first failed
 	// experiment is a fatal error from RunBot. Default (false) quarantines the failing bot and keeps
 	// the rest of the campaign's work.
-	//
-	// Strict interacts with Resume deliberately: the resume pass is
-	// applied across the WHOLE sample before any fresh experiment
-	// launches, so a Strict campaign resumed over a checkpoint that
-	// recorded a quarantine fails fast — settled verdicts are replayed,
-	// nothing is re-run, and no new guild is ever created.
 	Strict bool
-	// Resume, when set, replays settled experiment outcomes from a
-	// checkpoint: settled bots are skipped idempotently (journaled as
-	// work_skipped) with their prior verdict or quarantine copied into
-	// the result.
-	Resume *CampaignResume
-}
-
-// CampaignResume carries a checkpoint's settled experiment outcomes
-// back into a resumed campaign, keyed by listing bot ID.
-type CampaignResume struct {
-	Verdicts    map[int]*Verdict
-	Quarantined map[int]error
 }
 
 // Quarantine records one experiment abandoned after an infrastructure
@@ -149,10 +131,11 @@ func RunnerForBehavior(b synth.Behavior) BotRunner {
 }
 
 // CampaignRunner runs the campaign one bot at a time for a
-// caller-scheduled executor: the pipeline applies the resume pass, then
-// drives RunBot for each sample index under its own scheduling, and
-// assembles the result with Result. Each experiment records one
-// honeypot bot-stage span on any tracer carried by its context.
+// caller-scheduled executor: the pipeline drives RunBot for each sample
+// index under its own scheduling, hands over with Restore any outcome
+// it settled elsewhere (a checkpoint's), and assembles the result with
+// Result. Each experiment records one honeypot bot-stage span on any
+// tracer carried by its context.
 type CampaignRunner struct {
 	env Env
 	eco *synth.Ecosystem
@@ -161,7 +144,6 @@ type CampaignRunner struct {
 	sample       []*listing.Bot
 	verdicts     []*Verdict
 	quarantined  []error
-	settled      []bool
 	cQuarantined *obs.Counter
 }
 
@@ -180,7 +162,6 @@ func NewCampaignRunner(env Env, eco *synth.Ecosystem, cfg CampaignConfig) *Campa
 		sample:       sample,
 		verdicts:     make([]*Verdict, len(sample)),
 		quarantined:  make([]error, len(sample)),
-		settled:      make([]bool, len(sample)),
 		cQuarantined: obs.Or(env.Obs).Counter("honeypot_bots_quarantined_total"),
 	}
 }
@@ -188,56 +169,19 @@ func NewCampaignRunner(env Env, eco *synth.Ecosystem, cfg CampaignConfig) *Campa
 // Sample returns the selected most-voted sample in campaign order.
 func (cr *CampaignRunner) Sample() []*listing.Bot { return cr.sample }
 
-// Settled reports whether sample index i was settled by the resume
-// pass (no fresh experiment needed).
-func (cr *CampaignRunner) Settled(i int) bool { return cr.settled[i] }
-
-// ApplyResume replays checkpointed outcomes over the WHOLE sample
-// before any fresh experiment launches. This ordering is what makes
-// Strict×resume safe: a checkpointed quarantine fails the campaign
-// fast without re-running a single settled experiment or creating a
-// new guild.
-func (cr *CampaignRunner) ApplyResume(ctx context.Context) error {
-	if cr.cfg.Resume == nil {
-		return nil
-	}
-	for i, b := range cr.sample {
-		if v, ok := cr.cfg.Resume.Verdicts[b.ID]; ok {
-			cr.verdicts[i] = v
-			cr.settled[i] = true
-			journal.Emit(journal.WithBot(ctx, b.ID, b.Name), "honeypot",
-				journal.KindWorkSkipped, map[string]any{
-					"stage":  "honeypot",
-					"reason": "settled in checkpoint",
-				})
-			continue
-		}
-		if qerr, ok := cr.cfg.Resume.Quarantined[b.ID]; ok {
-			if cr.cfg.Strict {
-				return fmt.Errorf("honeypot: bot %s: %w", b.Name, qerr)
-			}
-			cr.quarantined[i] = qerr
-			cr.settled[i] = true
-			journal.Emit(journal.WithBot(ctx, b.ID, b.Name), "honeypot",
-				journal.KindWorkSkipped, map[string]any{
-					"stage":  "honeypot",
-					"reason": "quarantined in checkpoint",
-				})
-		}
-	}
-	return nil
+// Restore stores an outcome settled outside the runner in sample slot
+// i — a verdict, or the error that quarantined the bot — so Result
+// still assembles the whole sample. The caller does not also RunBot i.
+func (cr *CampaignRunner) Restore(i int, v *Verdict, qerr error) {
+	cr.verdicts[i], cr.quarantined[i] = v, qerr
 }
 
-// RunBot runs the fresh experiment for sample index i (a no-op for
-// resume-settled indexes), records the outcome in the runner's slots,
-// and returns it for checkpoint batching: a verdict, or the error that
-// quarantined the bot. The returned err is fatal: context cancellation,
-// or any failure under cfg.Strict. RunBot is safe for concurrent use on
-// distinct indexes.
+// RunBot runs the experiment for sample index i, records the outcome
+// in the runner's slots, and returns it for checkpoint batching: a
+// verdict, or the error that quarantined the bot. The returned err is
+// fatal: context cancellation, or any failure under cfg.Strict. RunBot
+// is safe for concurrent use on distinct indexes.
 func (cr *CampaignRunner) RunBot(ctx context.Context, i int) (v *Verdict, qerr error, err error) {
-	if cr.settled[i] {
-		return nil, nil, nil
-	}
 	b := cr.sample[i]
 	sub := Subject{
 		ListingID: b.ID,

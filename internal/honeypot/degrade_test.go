@@ -37,18 +37,13 @@ func (s *flakySolver) Solve(challenge string) (string, error) {
 	return strconv.Itoa(a + b), nil
 }
 
-// campaign drives a CampaignRunner as the pipeline's executor does: the
-// resume pass over the whole sample, then RunBot for each sample index,
-// workers at a time. settled, when set, observes each fresh outcome,
-// one call at a time. The result is nil whenever the error is not.
-func campaign(ctx context.Context, env Env, eco *synth.Ecosystem, cfg CampaignConfig, workers int, settled func(botID int, v *Verdict, qerr error)) (*CampaignResult, error) {
+// campaign drives a CampaignRunner as the pipeline's executor does:
+// RunBot for each sample index, workers at a time. The result is nil
+// whenever the error is not.
+func campaign(ctx context.Context, env Env, eco *synth.Ecosystem, cfg CampaignConfig, workers int) (*CampaignResult, error) {
 	cr := NewCampaignRunner(env, eco, cfg)
-	if err := cr.ApplyResume(ctx); err != nil {
-		return nil, err
-	}
 	sample := cr.Sample()
 	errs := make([]error, len(sample))
-	var mu sync.Mutex
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -56,13 +51,7 @@ func campaign(ctx context.Context, env Env, eco *synth.Ecosystem, cfg CampaignCo
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(sample); i = int(next.Add(1)) - 1 {
-				v, qerr, err := cr.RunBot(ctx, i)
-				errs[i] = err
-				if settled != nil && (v != nil || qerr != nil) {
-					mu.Lock()
-					settled(sample[i].ID, v, qerr)
-					mu.Unlock()
-				}
+				_, _, errs[i] = cr.RunBot(ctx, i)
 			}
 		}()
 	}
@@ -84,7 +73,7 @@ func TestCampaignQuarantinesFailedExperiment(t *testing.T) {
 	cfg.Experiment.Solver = &flakySolver{failN: 1}
 
 	// One worker, so exactly the first sampled bot fails.
-	res, err := campaign(context.Background(), env, eco, cfg, 1, nil)
+	res, err := campaign(context.Background(), env, eco, cfg, 1)
 	if err != nil {
 		t.Fatalf("lenient campaign errored: %v", err)
 	}
@@ -118,7 +107,7 @@ func TestCampaignStrictModeAborts(t *testing.T) {
 	cfg := CampaignConfig{SampleSize: 5, Experiment: testCfg(), Strict: true}
 	cfg.Experiment.Solver = &flakySolver{failN: 1}
 
-	res, err := campaign(context.Background(), env, eco, cfg, 1, nil)
+	res, err := campaign(context.Background(), env, eco, cfg, 1)
 	if err == nil {
 		t.Fatal("strict campaign should abort on the failed experiment")
 	}

@@ -192,7 +192,7 @@ func TestCampaignFindsTheOneMaliciousBot(t *testing.T) {
 	eco := synth.Generate(synth.Config{Seed: 77, NumBots: 300})
 	cfg := CampaignConfig{SampleSize: 40, Experiment: testCfg()}
 	cfg.Experiment.Settle = 400 * time.Millisecond
-	res, err := campaign(context.Background(), env, eco, cfg, 8, nil)
+	res, err := campaign(context.Background(), env, eco, cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

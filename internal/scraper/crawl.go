@@ -71,26 +71,6 @@ type Config struct {
 	// Strict restores the pre-quarantine behavior: the first failed bot
 	// aborts the whole crawl with an error instead of being skipped.
 	Strict bool
-	// Resume, when set, replays settled outcomes from a checkpoint: the
-	// recorded listing is reused instead of re-paginating, and settled
-	// bots are skipped idempotently (journaled as work_skipped) with
-	// their prior outcome copied into the result.
-	Resume *ResumeState
-	// OnListed observes the discovered listing before per-bot fetches
-	// begin, so a checkpoint can persist the work plan itself.
-	OnListed func(ids []int)
-}
-
-// ResumeState carries a checkpoint's settled crawl outcomes back into
-// a resumed run.
-type ResumeState struct {
-	// IDs is the listing discovered by the interrupted run; when
-	// non-empty the crawl skips pagination entirely and reuses it.
-	IDs []int
-	// Records maps bot ID → settled record.
-	Records map[int]*Record
-	// Quarantined maps bot ID → the error that quarantined it.
-	Quarantined map[int]error
 }
 
 // Crawler is the crawl, one bot at a time: List discovers the work plan
@@ -108,9 +88,6 @@ type SettledBot struct {
 	Rec *Record
 	// Quarantine is the error that set the bot aside, nil on success.
 	Quarantine error
-	// Resumed marks an outcome replayed from Cfg.Resume rather than
-	// freshly scraped — already persisted, so not re-checkpointed.
-	Resumed bool
 }
 
 // NewCrawler builds a Crawler with cfg's retry default applied.
@@ -121,69 +98,23 @@ func NewCrawler(c *Client, cfg Config) *Crawler {
 	return &Crawler{Client: c, Cfg: cfg}
 }
 
-// List returns the crawl's work plan: the resumed listing when the
-// checkpoint recorded one, otherwise a fresh pagination. listErr
+// List paginates the listing into the crawl's work plan. listErr
 // carries a lenient-mode pagination failure (the listing is partial);
 // err is fatal (strict mode or cancellation).
 func (cr *Crawler) List(ctx context.Context) (ids []int, listErr, err error) {
-	if r := cr.Cfg.Resume; r != nil && len(r.IDs) > 0 {
-		// The interrupted run already paid for pagination; reuse its
-		// listing so the resumed run sees the identical work plan.
-		ids = r.IDs
-	} else {
-		ids, listErr = ListBotIDsContext(ctx, cr.Client, cr.Cfg.MaxPages)
-		if listErr != nil {
-			if cr.Cfg.Strict || errors.Is(listErr, context.Canceled) || errors.Is(listErr, context.DeadlineExceeded) {
-				return nil, nil, listErr
-			}
+	ids, listErr = ListBotIDsContext(ctx, cr.Client, cr.Cfg.MaxPages)
+	if listErr != nil {
+		if cr.Cfg.Strict || errors.Is(listErr, context.Canceled) || errors.Is(listErr, context.DeadlineExceeded) {
+			return nil, nil, listErr
 		}
-	}
-	// A partial listing (pagination died mid-walk) is not a durable
-	// work plan: only a complete discovery is reported, so a resumed
-	// run re-paginates rather than inheriting the truncation.
-	if cr.Cfg.OnListed != nil && listErr == nil {
-		cr.Cfg.OnListed(ids)
 	}
 	return ids, listErr, nil
 }
 
-// resumed replays a checkpointed outcome for id when one exists.
-// ok=false means the bot is fresh work; err is fatal (a strict run hit
-// a checkpointed quarantine).
-func (cr *Crawler) resumed(ctx context.Context, id int) (out SettledBot, ok bool, err error) {
-	r := cr.Cfg.Resume
-	if r == nil {
-		return SettledBot{}, false, nil
-	}
-	if rec, found := r.Records[id]; found {
-		journal.Emit(journal.WithBot(ctx, id, rec.Name), "scraper",
-			journal.KindWorkSkipped, map[string]any{
-				"stage":  "collect",
-				"reason": "settled in checkpoint",
-			})
-		return SettledBot{Rec: rec, Resumed: true}, true, nil
-	}
-	if qerr, found := r.Quarantined[id]; found {
-		if cr.Cfg.Strict {
-			return SettledBot{}, false, fmt.Errorf("bot %d: %w", id, qerr)
-		}
-		journal.Emit(journal.WithBot(ctx, id, ""), "scraper",
-			journal.KindWorkSkipped, map[string]any{
-				"stage":  "collect",
-				"reason": "quarantined in checkpoint",
-			})
-		return SettledBot{Quarantine: qerr, Resumed: true}, true, nil
-	}
-	return SettledBot{}, false, nil
-}
-
-// Settle carries one listed bot to its outcome: a checkpointed replay,
-// a scraped record, or a quarantine. The returned error is fatal —
-// context cancellation, or any scrape failure under Cfg.Strict.
+// Settle carries one listed bot to its outcome: a scraped record or a
+// quarantine. The returned error is fatal — context cancellation, or
+// any scrape failure under Cfg.Strict.
 func (cr *Crawler) Settle(ctx context.Context, id int) (SettledBot, error) {
-	if out, ok, err := cr.resumed(ctx, id); err != nil || ok {
-		return out, err
-	}
 	botCtx := journal.WithBot(ctx, id, "")
 	botCtx = trace.WithBot(botCtx, id, "")
 	// The bot's display name is only known once the scrape succeeds;

@@ -63,30 +63,29 @@ func main() {
 	}
 
 	var (
-		seed         = flag.Int64("seed", 2022, "ecosystem generation seed")
-		bots         = flag.Int("bots", 2000, "listing population size (paper: 20915)")
-		sample       = flag.Int("sample", 100, "honeypot sample size (paper: 500)")
-		shards       = flag.Int("shards", 8, "executor shards: each worker carries one bot through every stage (1 = one bot at a time)")
-		stageWorkers = flag.Int("stage-workers", 0, "per-stage concurrency bound (0 = one per shard)")
-		settle       = flag.Duration("settle", 500*time.Millisecond, "honeypot trigger-watch window per bot, opened once the bot has handled the planted command")
-		defences     = flag.Bool("defences", false, "enable listing anti-scraping defences (captcha, flaky pages, rate limit)")
-		fullScale    = flag.Bool("full-scale", false, "use the paper's full 20,915-bot population (slow)")
-		exportDir    = flag.String("export-dir", "", "write records/code/verdicts/triggers as JSON Lines into this directory")
-		metricsAddr  = flag.String("metrics-addr", "", "also serve the operational endpoints (/metrics, /healthz, /debug/pprof) on this address")
-		journalPath  = flag.String("journal", "", "append every pipeline event to this JSONL journal (inspect with 'botscan journal')")
-		ledgerMode   = flag.String("ledger-mode", "off", "journal tamper-evidence: off, chain (per-event hash chain), or merkle (batched roots)")
-		ledgerBatch  = flag.Int("ledger-batch", 64, "merkle ledger batch size (events per committed root)")
-		ledgerWait   = flag.Int("ledger-wait-ms", 50, "commit a partial ledger batch after this many milliseconds")
-		faultProf    = flag.String("fault-profile", "", fmt.Sprintf("inject deterministic faults using this named profile (%s)", strings.Join(faults.Names(), ", ")))
-		faultSeed    = flag.Int64("fault-seed", 1, "fault injector seed (same seed + profile replays the same fault ledger)")
-		ckptDir      = flag.String("checkpoint-dir", "", "write crash-safe progress snapshots into this directory")
-		ckptEvery    = flag.Int("checkpoint-every", 25, "also snapshot after this many freshly settled bots (stage boundaries always snapshot)")
-		resumeRun    = flag.String("resume", "", "resume a checkpointed run: a run ID, or 'latest' (requires -checkpoint-dir)")
-		breakers     = flag.Bool("breakers", false, "wrap scraper/code-host/gateway transports in per-endpoint-class circuit breakers")
-		traceOut     = flag.String("trace-out", "", "write per-bot trace artifacts (spans.jsonl, trace.json, profile.json) into this directory")
-		traceLevel   = flag.String("trace-level", "", "per-bot tracing level: off, bots, or full (defaults to full when -trace-out is set)")
-		stageDL      = flag.Duration("stage-deadline", 0, "soft per-stage watchdog deadline (0 disables; a stalled stage is dumped and cancelled)")
-		verbose      = flag.Bool("v", false, "debug-level logging")
+		seed        = flag.Int64("seed", 2022, "ecosystem generation seed")
+		bots        = flag.Int("bots", 2000, "listing population size (paper: 20915)")
+		sample      = flag.Int("sample", 100, "honeypot sample size (paper: 500)")
+		shards      = flag.Int("shards", 8, "executor shards: each worker carries one bot through every stage (1 = one bot at a time)")
+		settle      = flag.Duration("settle", 500*time.Millisecond, "honeypot trigger-watch window per bot, opened once the bot has handled the planted command")
+		defences    = flag.Bool("defences", false, "enable listing anti-scraping defences (captcha, flaky pages, rate limit)")
+		fullScale   = flag.Bool("full-scale", false, "use the paper's full 20,915-bot population (slow)")
+		exportDir   = flag.String("export-dir", "", "write records/code/verdicts/triggers as JSON Lines into this directory")
+		metricsAddr = flag.String("metrics-addr", "", "also serve the operational endpoints (/metrics, /healthz, /debug/pprof) on this address")
+		journalPath = flag.String("journal", "", "append every pipeline event to this JSONL journal (inspect with 'botscan journal')")
+		ledgerMode  = flag.String("ledger-mode", "off", "journal tamper-evidence: off, chain (per-event hash chain), or merkle (batched roots)")
+		ledgerBatch = flag.Int("ledger-batch", 64, "merkle ledger batch size (events per committed root)")
+		ledgerWait  = flag.Int("ledger-wait-ms", 50, "commit a partial ledger batch after this many milliseconds")
+		faultProf   = flag.String("fault-profile", "", fmt.Sprintf("inject deterministic faults using this named profile (%s)", strings.Join(faults.Names(), ", ")))
+		faultSeed   = flag.Int64("fault-seed", 1, "fault injector seed (same seed + profile replays the same fault ledger)")
+		ckptDir     = flag.String("checkpoint-dir", "", "write crash-safe progress snapshots into this directory")
+		ckptEvery   = flag.Int("checkpoint-every", 25, "also snapshot after this many freshly settled bots (stage boundaries always snapshot)")
+		resumeRun   = flag.String("resume", "", "resume a checkpointed run: a run ID, or 'latest' (requires -checkpoint-dir)")
+		breakers    = flag.Bool("breakers", false, "wrap scraper/code-host/gateway transports in per-endpoint-class circuit breakers")
+		traceOut    = flag.String("trace-out", "", "write per-bot trace artifacts (spans.jsonl, trace.json, profile.json) into this directory")
+		traceLevel  = flag.String("trace-level", "", "per-bot tracing level: off, bots, or full (defaults to full when -trace-out is set)")
+		stageDL     = flag.Duration("stage-deadline", 0, "soft deadline over the pipelined stages (0 disables; a stalled pipeline is dumped once and cancelled)")
+		verbose     = flag.Bool("v", false, "debug-level logging")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -120,15 +119,7 @@ func main() {
 			Sample: *sample,
 			Settle: *settle,
 		},
-		Exec: core.ExecOptions{
-			Shards: *shards,
-			StageWorkers: core.StageWorkers{
-				Collect:  *stageWorkers,
-				Code:     *stageWorkers,
-				Honeypot: *stageWorkers,
-			},
-			StageSoftDeadline: *stageDL,
-		},
+		Exec:       core.ExecOptions{Shards: *shards, StageSoftDeadline: *stageDL},
 		Faults:     core.FaultOptions{Profile: *faultProf, Seed: *faultSeed},
 		Checkpoint: core.CheckpointOptions{Dir: *ckptDir, Every: *ckptEvery, Resume: *resumeRun},
 		Breakers:   core.BreakerOptions{Enabled: *breakers},

@@ -16,8 +16,7 @@
 //
 // The executor (pipeline.go) carries each bot through
 // collect → traceability → code analysis → honeypot on a work-stealing
-// scheduler with Options.Exec.Shards workers and per-stage concurrency
-// gates.
+// scheduler with Options.Exec.Shards workers.
 package core
 
 import (
@@ -72,16 +71,6 @@ type HoneypotOptions struct {
 	Settle time.Duration
 }
 
-// StageWorkers bounds the executor's per-stage concurrency:
-// how many workers may simultaneously occupy each stage's gate, i.e.
-// how much pressure the listing server, code host, and gateway each
-// see. Zero fields default to Exec.Shards.
-type StageWorkers struct {
-	Collect  int
-	Code     int
-	Honeypot int
-}
-
 // ExecOptions tunes the pipeline executor.
 type ExecOptions struct {
 	// Strict restores fail-fast semantics: the first stage-level or
@@ -101,15 +90,11 @@ type ExecOptions struct {
 	// shards when its own drains. Zero or less means 8; 1 runs one
 	// bot at a time.
 	Shards int
-	// StageWorkers bounds per-stage concurrency; zero fields default
-	// to Shards.
-	StageWorkers StageWorkers
-	// StageSoftDeadline, when positive, arms a watchdog over each
-	// pipeline stage: a stage running past the deadline gets a
-	// stage_stalled journal event carrying a full goroutine dump, then
-	// its context is cancelled with ErrStageStalled as the cause.
-	// The four pipeline stages share one wall-clock window, so each
-	// deadline spans the whole pipelined phase.
+	// StageSoftDeadline, when positive, arms one watchdog over the
+	// pipelined phase, whose four stages share one wall-clock window: a
+	// phase running past the deadline gets one stage_stalled journal
+	// event, stage "pipeline", carrying a full goroutine dump, then its
+	// context is cancelled with ErrStageStalled as the cause.
 	StageSoftDeadline time.Duration
 	// StageRetryBudget, when positive, gives each network stage
 	// (collect, codeanalysis) its own shared retry budget of that many
@@ -554,26 +539,31 @@ type run struct {
 	cDegraded     *obs.Counter
 }
 
-// stage opens a run-level stage span with watchdog and journal
-// brackets; the returned func closes all three, stamping the span's
-// wall time on stage_completed.
-func (r *run) stage(name string) (context.Context, func()) {
-	sctx := bottrace.ContextWithStage(r.ctx, r.tracer, name)
+// stage opens a run-level stage under ctx: the returned context traces
+// its bot-stage spans under name, its run span starts, and
+// stage_started is journaled. The closer records the run span and
+// journals stage_completed with its wall time. A concurrent (pipelined)
+// stage's events say so, and its stage_completed also carries the
+// stage's traced item count.
+func (r *run) stage(ctx context.Context, name string, concurrent bool) (context.Context, func()) {
+	sctx := bottrace.ContextWithStage(ctx, r.tracer, name)
 	endRunSpan := r.tracer.StartRunSpan(name)
-	stopWatchdog := func() {}
-	if dl := r.a.opts.Exec.StageSoftDeadline; dl > 0 {
-		var cancel context.CancelCauseFunc
-		sctx, cancel = context.WithCancelCause(sctx)
-		stopWatchdog = watchdog(sctx, name, dl, cancel)
+	started := map[string]any{"stage": name}
+	if concurrent {
+		started["concurrent"] = true
 	}
-	journal.Emit(sctx, "core", journal.KindStageStarted, map[string]any{"stage": name})
+	journal.Emit(sctx, "core", journal.KindStageStarted, started)
 	return sctx, func() {
-		stopWatchdog()
-		wall := endRunSpan()
-		journal.Emit(sctx, "core", journal.KindStageCompleted, map[string]any{
-			"stage":   name,
-			"seconds": wall.Seconds(),
-		})
+		completed := map[string]any{"stage": name, "seconds": endRunSpan().Seconds()}
+		if concurrent {
+			completed["concurrent"] = true
+			for _, row := range r.tracer.StageTimings() {
+				if row.Stage == name {
+					completed["items"] = row.Items
+				}
+			}
+		}
+		journal.Emit(sctx, "core", journal.KindStageCompleted, completed)
 	}
 }
 
@@ -712,7 +702,7 @@ func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 		return nil, err
 	}
 
-	_, endVet := r.stage("vetting")
+	_, endVet := r.stage(ctx, "vetting", false)
 	res.Vetting, res.VettingSummary = vetting.VetAll(res.Records)
 	endVet()
 

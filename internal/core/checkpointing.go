@@ -30,8 +30,8 @@ import (
 // newest snapshot in the store instead of a specific run ID.
 const ResumeLatest = "latest"
 
-// ErrStageStalled is the cancellation cause the stage watchdog injects
-// when a stage exceeds its soft deadline
+// ErrStageStalled is the cancellation cause the pipeline watchdog
+// injects when the pipelined phase exceeds its soft deadline
 // (Options.Exec.StageSoftDeadline).
 var ErrStageStalled = errors.New("core: stage exceeded soft deadline")
 
@@ -231,8 +231,9 @@ type pendingOutcome struct {
 // at once, and per-outcome locking plus per-outcome write checks would
 // serialize them on checkpoint state. The batch still counts toward
 // the periodic threshold, so durability lags by at most one worker
-// buffer. It is the only periodic save path, and workers call it with
-// no stage gate held.
+// buffer. It is the only periodic save path, and workers call it
+// outside every bot-stage span, so a save is never timed as stage
+// work.
 func (c *ckptState) noteBatch(batch []pendingOutcome) {
 	if c == nil || len(batch) == 0 {
 		return
@@ -319,17 +320,17 @@ func (c *ckptState) writeLocked(stage string) {
 	})
 }
 
-// watchdog arms a soft-deadline timer over a stage context: on expiry
-// it journals stage_stalled with a full goroutine dump, then cancels
-// the stage with ErrStageStalled as the cause. The returned stop must
-// be called when the stage ends.
-func watchdog(sctx context.Context, name string, deadline time.Duration, cancel context.CancelCauseFunc) func() {
+// watchdog arms a soft-deadline timer over the pipelined phase's
+// context: on expiry it journals stage_stalled, stage name, with a
+// full goroutine dump, then cancels the phase with ErrStageStalled as
+// the cause. The returned stop must be called when the phase ends.
+func watchdog(ctx context.Context, name string, deadline time.Duration, cancel context.CancelCauseFunc) func() {
 	t := time.AfterFunc(deadline, func() {
 		// The dump is the point: a stalled stage's goroutines say where
 		// it is stuck, and after cancellation that evidence is gone.
 		buf := make([]byte, 256<<10)
 		n := runtime.Stack(buf, true)
-		journal.Emit(sctx, "core", journal.KindStageStalled, map[string]any{
+		journal.Emit(ctx, "core", journal.KindStageStalled, map[string]any{
 			"stage":            name,
 			"deadline_seconds": deadline.Seconds(),
 			"goroutines":       string(buf[:n]),

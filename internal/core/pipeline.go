@@ -1,10 +1,10 @@
 // The pipeline's executor: bots are partitioned across N shards and
 // each worker carries one bot through
 // collect → traceability → code analysis → honeypot before taking the
-// next, stealing from loaded shards once its own drains. Per-stage
-// concurrency is bounded by counting gates, so the listing server,
-// code host, and gateway each see tunable pressure regardless of how
-// many workers are in flight.
+// next, stealing from loaded shards once its own drains. A worker is in
+// one stage at a time, so the shard count also bounds how many bots
+// each backing service (listing server, code host, gateway) serves at
+// once.
 //
 // Determinism: every per-bot outcome is computed by the stage
 // packages' per-bot primitives (Crawler, Analyzer, CampaignRunner),
@@ -53,19 +53,24 @@ type ScaleStats struct {
 	// perfectly balanced drain.
 	ShardImbalance float64 `json:"shard_imbalance"`
 
-	// Stages carries per-stage gate throughput (items/sec, busy time,
-	// peak in-flight) for collect, traceability, codeanalysis, honeypot.
-	Stages []sched.GateStats `json:"stages"`
+	// Stages repeats the stage table's traced totals for collect,
+	// traceability, codeanalysis and honeypot.
+	Stages []StageStats `json:"stages"`
 }
 
-// Report renders the scale accounting as text.
+// StageStats is one pipelined stage's totals, read from the run's
+// tracer: Items counts its bot-stage spans and BusyMS sums them.
+type StageStats struct {
+	Stage  string  `json:"stage"`
+	Items  int     `json:"items"`
+	BusyMS float64 `json:"busy_ms"`
+}
+
+// Report renders the scale accounting as text. The per-stage totals
+// are the stage table's Items and Busy, so they are not printed again.
 func (s *ScaleStats) Report(w io.Writer) {
 	fmt.Fprintf(w, "Sharded executor: %d items (%d listed, sample %d) on %d shard(s) × %d worker(s) in %.0fms (%.1f bots/sec, %d steal(s), imbalance %.2f)\n",
 		s.Items, s.Bots, s.Sample, s.Shards, s.Workers, s.ElapsedMS, s.BotsPerSec, s.Steals, s.ShardImbalance)
-	for _, g := range s.Stages {
-		fmt.Fprintf(w, "  stage %-14s limit %-3d items %-6d %8.1f items/sec  busy %.0fms  peak in-flight %d\n",
-			g.Stage, g.Limit, g.Items, g.ItemsPerSec, g.BusyMS, g.MaxInflight)
-	}
 }
 
 // workItem is one bot's trip through the pipeline: listIdx indexes the
@@ -75,17 +80,6 @@ type workItem struct {
 	botID     int
 	listIdx   int
 	sampleIdx int
-}
-
-// shardStage is one pipeline stage's shared envelope: its
-// watchdog-armed context, its concurrency gate, and the closer of its
-// run-level trace span.
-type shardStage struct {
-	name   string
-	ctx    context.Context
-	gate   *sched.Gate
-	stop   func()
-	endRun func() time.Duration
 }
 
 func shardImbalance(executed []int64) float64 {
@@ -111,57 +105,29 @@ func shardImbalance(executed []int64) float64 {
 func (a *Auditor) runSharded(r *run) error {
 	res := r.res
 	shards := a.opts.Exec.Shards
-	sw := a.opts.Exec.StageWorkers
-	if sw.Collect <= 0 {
-		sw.Collect = shards
-	}
-	if sw.Code <= 0 {
-		sw.Code = shards
-	}
-	if sw.Honeypot <= 0 {
-		sw.Honeypot = shards
-	}
-	workers := shards
 
 	pctx, cancel := context.WithCancelCause(r.ctx)
 	defer cancel(nil)
 
-	// All four stage envelopes open for the whole phase: the stages
-	// interleave over one wall-clock window, so their run spans overlap
-	// and their soft deadlines each cover the full window.
-	mkStage := func(name string, limit int) *shardStage {
-		sctx := bottrace.ContextWithStage(pctx, r.tracer, name)
-		stop := func() {}
-		if dl := a.opts.Exec.StageSoftDeadline; dl > 0 {
-			stop = watchdog(sctx, name, dl, cancel)
-		}
-		journal.Emit(sctx, "core", journal.KindStageStarted, map[string]any{
-			"stage": name, "concurrent": true,
-		})
-		return &shardStage{
-			name: name, ctx: sctx, gate: sched.NewGate(name, limit),
-			stop: stop, endRun: r.tracer.StartRunSpan(name),
-		}
+	// The four stages interleave over one wall-clock window, so all four
+	// open for the whole phase and their run spans overlap. One watchdog
+	// covers the window: a stall journals one goroutine dump.
+	stopWatchdog := func() {}
+	if dl := a.opts.Exec.StageSoftDeadline; dl > 0 {
+		stopWatchdog = watchdog(pctx, "pipeline", dl, cancel)
 	}
-	stCollect := mkStage("collect", sw.Collect)
-	stTrace := mkStage("traceability", workers)
-	stCode := mkStage("codeanalysis", sw.Code)
-	stHp := mkStage("honeypot", sw.Honeypot)
-	stages := []*shardStage{stCollect, stTrace, stCode, stHp}
+	collectCtx, endCollect := r.stage(pctx, "collect", true)
+	traceCtx, endTrace := r.stage(pctx, "traceability", true)
+	codeCtx, endCode := r.stage(pctx, "codeanalysis", true)
+	hpCtx, endHp := r.stage(pctx, "honeypot", true)
 	var cleanupOnce sync.Once
 	cleanup := func() {
 		cleanupOnce.Do(func() {
-			for _, st := range stages {
-				st.stop()
-				wall := st.endRun()
-				gs := st.gate.Stats()
-				journal.Emit(st.ctx, "core", journal.KindStageCompleted, map[string]any{
-					"stage":      st.name,
-					"concurrent": true,
-					"seconds":    wall.Seconds(),
-					"items":      gs.Items,
-				})
-			}
+			stopWatchdog()
+			endCollect()
+			endTrace()
+			endCode()
+			endHp()
 		})
 	}
 	defer cleanup()
@@ -197,7 +163,7 @@ func (a *Auditor) runSharded(r *run) error {
 	var listErr error
 	if len(ids) == 0 {
 		var err error
-		if ids, listErr, err = crawler.List(stCollect.ctx); err != nil {
+		if ids, listErr, err = crawler.List(collectCtx); err != nil {
 			return failWith("collect", err)
 		}
 		if listErr == nil {
@@ -218,10 +184,10 @@ func (a *Auditor) runSharded(r *run) error {
 			continue
 		}
 		if out.Qerr != nil && a.opts.Exec.Strict {
-			return failWith("honeypot", fmt.Errorf("honeypot: bot %s: %w", b.Name, out.Qerr))
+			return failWith("honeypot", fmt.Errorf("bot %s: %w", b.Name, out.Qerr))
 		}
 		camp.Restore(i, out.V, out.Qerr)
-		skipped(stHp.ctx, "honeypot", b.ID, b.Name, out)
+		skipped(hpCtx, "honeypot", b.ID, b.Name, out)
 	}
 
 	// The work plan: one item per listed bot, plus one per sampled bot
@@ -258,9 +224,9 @@ func (a *Auditor) runSharded(r *run) error {
 	// Per-worker checkpoint batches: fresh outcomes buffer locally and
 	// fold into the snapshot in batches, so workers do not serialize on
 	// checkpoint state per settled bot. Workers add outcomes only after
-	// releasing the stage gate, so no save runs under one.
+	// the stage's span has closed, so no save is timed as stage work.
 	const batchEvery = 8
-	batches := make([][]pendingOutcome, workers)
+	batches := make([][]pendingOutcome, shards)
 	addOutcome := func(w int, p pendingOutcome) {
 		if r.ck == nil {
 			return
@@ -285,8 +251,8 @@ func (a *Auditor) runSharded(r *run) error {
 	}
 
 	// Each stage first looks the bot up in the replay index and reuses
-	// a checkpointed outcome as it is: a replayed bot takes no gate slot
-	// and records no stage span.
+	// a checkpointed outcome as it is: a replayed bot records no stage
+	// span. A cancelled run stops between stages.
 	fn := func(wctx context.Context, w, idx int) {
 		it := items[idx]
 		var rec *scraper.Record
@@ -301,14 +267,12 @@ func (a *Auditor) runSharded(r *run) error {
 				if out.Rec != nil {
 					name = out.Rec.Name
 				}
-				skipped(stCollect.ctx, "collect", it.botID, name, out)
+				skipped(collectCtx, "collect", it.botID, name, out)
 			} else {
-				release, err := stCollect.gate.Acquire(wctx)
-				if err != nil {
+				if wctx.Err() != nil {
 					return
 				}
-				sb, err := crawler.Settle(bottrace.WithWorker(stCollect.ctx, w), it.botID)
-				release()
+				sb, err := crawler.Settle(bottrace.WithWorker(collectCtx, w), it.botID)
 				if err != nil {
 					fatal("collect", err)
 					return
@@ -320,30 +284,26 @@ func (a *Auditor) runSharded(r *run) error {
 			rec = out.Rec
 		}
 		if rec != nil && rec.PermsValid {
-			release, err := stTrace.gate.Acquire(wctx)
-			if err != nil {
+			if wctx.Err() != nil {
 				return
 			}
 			traceMu.Lock()
-			auditOne(bottrace.WithWorker(stTrace.ctx, w), &an, &t2, dt, rec)
+			auditOne(bottrace.WithWorker(traceCtx, w), &an, &t2, dt, rec)
 			traceMu.Unlock()
-			release()
 			if rec.GitHubURL != "" {
 				out, ok := rp.links[rec.GitHubURL]
 				if ok {
-					skipped(stCode.ctx, "codeanalysis", rec.ID, "", out)
+					skipped(codeCtx, "codeanalysis", rec.ID, "", out)
 					if out.RA != nil {
 						ra := *out.RA
 						ra.BotID = rec.ID
 						out.RA = &ra
 					}
 				} else {
-					release, err := stCode.gate.Acquire(wctx)
-					if err != nil {
+					if wctx.Err() != nil {
 						return
 					}
-					sl, serr := az.SettleBot(bottrace.WithWorker(stCode.ctx, w), rec.ID, rec.GitHubURL)
-					release()
+					sl, serr := az.SettleBot(bottrace.WithWorker(codeCtx, w), rec.ID, rec.GitHubURL)
 					if serr != nil {
 						fatal("codeanalysis", serr)
 						return
@@ -356,12 +316,10 @@ func (a *Auditor) runSharded(r *run) error {
 		}
 		// A sampled bot the checkpoint settled was restored above.
 		if _, restored := rp.hp[it.botID]; it.sampleIdx >= 0 && !restored {
-			release, err := stHp.gate.Acquire(wctx)
-			if err != nil {
+			if wctx.Err() != nil {
 				return
 			}
-			v, qerr, rerr := camp.RunBot(bottrace.WithWorker(stHp.ctx, w), it.sampleIdx)
-			release()
+			v, qerr, rerr := camp.RunBot(bottrace.WithWorker(hpCtx, w), it.sampleIdx)
 			if rerr != nil {
 				fatal("honeypot", rerr)
 				return
@@ -370,7 +328,7 @@ func (a *Auditor) runSharded(r *run) error {
 		}
 	}
 
-	stats := sched.RunHooked(pctx, sched.Partition(len(items), shards), workers, fn,
+	stats := sched.RunHooked(pctx, sched.Partition(len(items), shards), shards, fn,
 		sched.Hooks{Obs: a.obs, Tracer: r.tracer, Stage: "sharded"})
 	elapsed := time.Since(phaseStart)
 
@@ -433,7 +391,7 @@ func (a *Auditor) runSharded(r *run) error {
 		res.StageErrors["collect"] = listErr
 		d.Errors++
 	}
-	r.note(stCollect.ctx, "collect", d)
+	r.note(collectCtx, "collect", d)
 	res.PermDist = scraper.PermissionDistribution(res.Records)
 	res.Scraper = a.listClient.Stats()
 
@@ -473,7 +431,7 @@ func (a *Auditor) runSharded(r *run) error {
 	for _, q := range cres.Quarantined {
 		res.Quarantined = append(res.Quarantined, QuarantinedBot{Stage: "codeanalysis", BotID: q.BotID, Link: q.Link, Err: q.Err})
 	}
-	r.note(stCode.ctx, "codeanalysis", d)
+	r.note(codeCtx, "codeanalysis", d)
 
 	// Honeypot: the runner assembles its result in sample order.
 	res.Honeypot = camp.Result()
@@ -481,7 +439,7 @@ func (a *Auditor) runSharded(r *run) error {
 	for _, q := range res.Honeypot.Quarantined {
 		res.Quarantined = append(res.Quarantined, QuarantinedBot{Stage: "honeypot", BotID: q.BotID, Name: q.Name, Err: q.Err})
 	}
-	r.note(stHp.ctx, "honeypot", d)
+	r.note(hpCtx, "honeypot", d)
 
 	botsPerSec := 0.0
 	if secs := elapsed.Seconds(); secs > 0 {
@@ -501,9 +459,19 @@ func (a *Auditor) runSharded(r *run) error {
 		StolenPerShard:   stats.Stolen,
 		PerWorker:        stats.PerWorker,
 		ShardImbalance:   shardImbalance(stats.Executed),
-		Stages: []sched.GateStats{
-			stCollect.gate.Stats(), stTrace.gate.Stats(), stCode.gate.Stats(), stHp.gate.Stats(),
-		},
+		Stages:           stageStats(r.tracer),
 	}
 	return nil
+}
+
+// stageStats reads the pipelined stages' totals from the tracer. The
+// tracer lists a stage only once its run span has ended, so this runs
+// after the phase's four stages have closed and before vetting opens.
+func stageStats(tr *bottrace.Tracer) []StageStats {
+	rows := tr.StageTimings()
+	out := make([]StageStats, 0, len(rows))
+	for _, row := range rows {
+		out = append(out, StageStats{Stage: row.Stage, Items: row.Items, BusyMS: float64(row.BusyNS) / float64(time.Millisecond)})
+	}
+	return out
 }

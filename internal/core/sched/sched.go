@@ -5,11 +5,6 @@
 // has drained steal from the back of the most loaded remaining shard.
 // All work is enqueued before Run starts, so an empty sweep across
 // every deque is a terminal condition, not a race.
-//
-// Per-stage concurrency is bounded separately by Gates — counting
-// semaphores that also account items, busy time, and peak in-flight
-// occupancy, which is where the per-stage bots/sec figures in
-// core.ScaleStats come from.
 package sched
 
 import (
@@ -269,99 +264,4 @@ func next(dq []*deque, own int) (item, from, depth int, ok bool) {
 		}
 	}
 	return 0, 0, 0, false
-}
-
-// Gate bounds how many workers may occupy one pipeline stage at once,
-// so each backing service (listing server, code host, gateway) sees
-// tunable pressure regardless of total worker count. It doubles as the
-// stage's throughput meter.
-type Gate struct {
-	name  string
-	limit int
-	sem   chan struct{}
-
-	mu          sync.Mutex
-	items       int64
-	busy        time.Duration
-	first       time.Time
-	last        time.Time
-	inflight    int
-	maxInflight int
-}
-
-// NewGate creates a gate admitting at most limit concurrent holders.
-func NewGate(name string, limit int) *Gate {
-	if limit <= 0 {
-		limit = 1
-	}
-	return &Gate{name: name, limit: limit, sem: make(chan struct{}, limit)}
-}
-
-// Limit reports the gate's admission bound.
-func (g *Gate) Limit() int { return g.limit }
-
-// Acquire blocks until a slot frees or ctx is cancelled, returning the
-// release func for the slot. Release is idempotent.
-func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case g.sem <- struct{}{}:
-	}
-	start := time.Now()
-	g.mu.Lock()
-	if g.first.IsZero() {
-		g.first = start
-	}
-	g.inflight++
-	if g.inflight > g.maxInflight {
-		g.maxInflight = g.inflight
-	}
-	g.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			end := time.Now()
-			g.mu.Lock()
-			g.items++
-			g.busy += end.Sub(start)
-			g.last = end
-			g.inflight--
-			g.mu.Unlock()
-			<-g.sem
-		})
-	}, nil
-}
-
-// GateStats is one stage's throughput accounting. BusyMS sums the
-// span each holder occupied a slot (so BusyMS can exceed WallMS when
-// the stage ran concurrently); WallMS spans first acquire to last
-// release; ItemsPerSec is items over wall time.
-type GateStats struct {
-	Stage       string  `json:"stage"`
-	Limit       int     `json:"limit"`
-	Items       int64   `json:"items"`
-	BusyMS      float64 `json:"busy_ms"`
-	WallMS      float64 `json:"wall_ms"`
-	ItemsPerSec float64 `json:"items_per_sec"`
-	MaxInflight int     `json:"max_inflight"`
-}
-
-// Stats snapshots the gate's counters.
-func (g *Gate) Stats() GateStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	s := GateStats{
-		Stage:       g.name,
-		Limit:       g.limit,
-		Items:       g.items,
-		BusyMS:      float64(g.busy) / float64(time.Millisecond),
-		MaxInflight: g.maxInflight,
-	}
-	if !g.first.IsZero() && g.last.After(g.first) {
-		wall := g.last.Sub(g.first)
-		s.WallMS = float64(wall) / float64(time.Millisecond)
-		s.ItemsPerSec = float64(g.items) / wall.Seconds()
-	}
-	return s
 }

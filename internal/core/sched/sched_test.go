@@ -98,72 +98,6 @@ func TestWorkStealingFairness(t *testing.T) {
 	}
 }
 
-// TestGateBoundsConcurrency drives many workers through a narrow gate
-// and asserts (under -race) the occupancy bound holds.
-func TestGateBoundsConcurrency(t *testing.T) {
-	const limit = 3
-	g := NewGate("collect", limit)
-	var inflight, peak int64
-	shards := Partition(60, 6)
-	Run(context.Background(), shards, 12, func(ctx context.Context, _, _ int) {
-		rel, err := g.Acquire(ctx)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cur := atomic.AddInt64(&inflight, 1)
-		for {
-			p := atomic.LoadInt64(&peak)
-			if cur <= p || atomic.CompareAndSwapInt64(&peak, p, cur) {
-				break
-			}
-		}
-		time.Sleep(time.Millisecond)
-		atomic.AddInt64(&inflight, -1)
-		rel()
-	})
-	if peak > limit {
-		t.Fatalf("observed %d concurrent holders, gate limit %d", peak, limit)
-	}
-	st := g.Stats()
-	if st.Items != 60 {
-		t.Errorf("gate items = %d", st.Items)
-	}
-	if st.MaxInflight > limit {
-		t.Errorf("gate max inflight = %d > limit %d", st.MaxInflight, limit)
-	}
-	if st.BusyMS <= 0 || st.WallMS <= 0 || st.ItemsPerSec <= 0 {
-		t.Errorf("gate stats not populated: %+v", st)
-	}
-}
-
-func TestGateReleaseIdempotent(t *testing.T) {
-	g := NewGate("x", 1)
-	rel, err := g.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel()
-	rel() // double release must not free a second slot
-	if st := g.Stats(); st.Items != 1 {
-		t.Errorf("items = %d after double release", st.Items)
-	}
-	if _, err := g.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGateAcquireHonoursCancel(t *testing.T) {
-	g := NewGate("x", 1)
-	rel, _ := g.Acquire(context.Background())
-	defer rel()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := g.Acquire(ctx); err == nil {
-		t.Fatal("acquire on a full gate with cancelled ctx should fail")
-	}
-}
-
 func TestRunStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var done int64

@@ -24,9 +24,10 @@ type rig struct {
 	sess    *botsdk.Session
 }
 
-func newRig(t *testing.T, botPerms permissions.Permission) *rig {
+func newRig(t testing.TB, botPerms permissions.Permission) *rig {
 	t.Helper()
 	p := platform.New(platform.Options{})
+	t.Cleanup(p.Close)
 	owner := p.CreateUser("owner")
 	g, err := p.CreateGuild(owner.ID, "itest", false)
 	if err != nil {
@@ -72,6 +73,7 @@ func TestIdentifyAndReady(t *testing.T) {
 
 func TestIdentifyBadToken(t *testing.T) {
 	p := platform.New(platform.Options{})
+	defer p.Close()
 	srv, err := gateway.NewServer(p, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -426,6 +428,7 @@ func TestGatewayRateLimitDisabledByDefault(t *testing.T) {
 
 func TestManyConcurrentBots(t *testing.T) {
 	p := platform.New(platform.Options{})
+	defer p.Close()
 	owner := p.CreateUser("owner")
 	g, _ := p.CreateGuild(owner.ID, "busy", false)
 	var general *platform.Channel

@@ -320,6 +320,7 @@ func TestShedAndFaultAccountingDeterministic(t *testing.T) {
 	}
 	runOnce := func(t *testing.T) outcome {
 		p := platform.New(platform.Options{})
+		defer p.Close()
 		owner := p.CreateUser("owner")
 		g, err := p.CreateGuild(owner.ID, "det", false)
 		if err != nil {

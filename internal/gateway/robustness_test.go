@@ -2,8 +2,12 @@ package gateway_test
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,14 +25,17 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
+// garbageFrames are first lines no client should send.
+var garbageFrames = []string{
+	"not json at all\n",
+	`{"op":"heartbeat"}` + "\n",            // valid JSON, wrong first op
+	`{"op":"identify","token":123}` + "\n", // wrong field type
+	"\x00\x01\x02\xff\n",
+}
+
 func TestGarbageBeforeIdentifyDropsConnection(t *testing.T) {
 	r := newRig(t, permissions.ViewChannel|permissions.SendMessages)
-	for _, garbage := range []string{
-		"not json at all\n",
-		`{"op":"heartbeat"}` + "\n",            // valid JSON, wrong first op
-		`{"op":"identify","token":123}` + "\n", // wrong field type
-		"\x00\x01\x02\xff\n",
-	} {
+	for _, garbage := range garbageFrames {
 		conn := dialRaw(t, r.srv.Addr())
 		fmt.Fprint(conn, garbage)
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -108,6 +115,38 @@ func TestUnknownOpAfterIdentify(t *testing.T) {
 	if line == "" || !contains(line, "unexpected op") {
 		t.Errorf("response = %q", line)
 	}
+}
+
+// FuzzFrameDecode writes arbitrary bytes to a fresh raw connection,
+// either as its first bytes or after a valid identify line, closes the
+// connection's write side and reads the server's replies until it
+// closes. The server must neither panic nor hang past the read
+// deadline, and the rig's healthy session must still send afterwards.
+// A server that closes with input still unread resets the connection,
+// which counts as closed.
+func FuzzFrameDecode(f *testing.F) {
+	for _, g := range garbageFrames {
+		f.Add([]byte(g), false)
+	}
+	f.Add([]byte(`{"op":"mystery"}`+"\n"), true)
+	f.Add([]byte(`{"op":"request","id":1,"method":"mystery","args":{}}`+"\n"), true)
+	f.Add([]byte(`{"op":"request","id":2,"method":"send_message","args":{"channel_id":"1","content":"`+strings.Repeat("A", 64<<10)+`"}}`+"\n"), true)
+	r := newRig(f, permissions.ViewChannel|permissions.SendMessages)
+	f.Fuzz(func(t *testing.T, data []byte, identify bool) {
+		conn := dialRaw(t, r.srv.Addr())
+		if identify {
+			fmt.Fprintf(conn, `{"op":"identify","token":%q}`+"\n", r.bot.Token)
+		}
+		conn.Write(data)
+		conn.(*net.TCPConn).CloseWrite()
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.Copy(io.Discard, conn); errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("server did not close the connection: %v", err)
+		}
+		if _, err := r.sess.Send(r.general.ID.String(), "still alive"); err != nil {
+			t.Fatalf("healthy session broken by fuzzed peer: %v", err)
+		}
+	})
 }
 
 func contains(s, sub string) bool {

@@ -206,7 +206,7 @@ func (cr *CampaignRunner) RunBot(ctx context.Context, i int) (v *Verdict, qerr e
 		case errors.Is(rerr, context.Canceled) || errors.Is(rerr, context.DeadlineExceeded):
 			return nil, nil, rerr
 		case cr.cfg.Strict:
-			return nil, nil, fmt.Errorf("honeypot: bot %s: %w", b.Name, rerr)
+			return nil, nil, fmt.Errorf("bot %s: %w", b.Name, rerr)
 		}
 		cr.quarantined[i] = rerr
 		cr.cQuarantined.Inc()

@@ -75,7 +75,7 @@ const (
 	KindFaultInjected  Kind = "fault_injected"
 
 	// Crash-safety: checkpoint/resume progress, endpoint circuit
-	// breakers, and the per-stage watchdog.
+	// breakers, and the pipeline watchdog.
 	KindCheckpointWritten Kind = "checkpoint_written"
 	KindRunResumed        Kind = "run_resumed"
 	KindWorkSkipped       Kind = "work_skipped"

@@ -314,9 +314,10 @@ func TestLedgerResumeReanchorsAcrossSegments(t *testing.T) {
 
 // crashImage runs a ledgered journal, lets the flusher land wantLines
 // lines, and returns the file bytes as they stood — the moral
-// equivalent of a SIGKILL before Close ever ran (the leaked flusher
-// keeps a file handle, but the copied image is what a crashed process
-// leaves on disk).
+// equivalent of a SIGKILL before Close ever ran. The copied image is
+// what a crashed process leaves on disk; the abandoned journal itself
+// is closed only when the test ends, so its flusher does not outlive
+// the test.
 func crashImage(t *testing.T, dir string, events int, wantLines int) []byte {
 	t.Helper()
 	path := filepath.Join(dir, "crash.jsonl")
@@ -328,6 +329,7 @@ func crashImage(t *testing.T, dir string, events int, wantLines int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { j.Close() })
 	for i := 0; i < events; i++ {
 		j.Emit(Event{Kind: KindExperimentSettled, BotID: i + 1, Fields: map[string]any{"verdict": "leaky"}})
 	}

@@ -255,6 +255,7 @@ func TestDeterministicClock(t *testing.T) {
 		tick++
 		return base.Add(time.Duration(tick) * time.Second)
 	}})
+	defer p.Close()
 	owner := p.CreateUser("owner")
 	g, _ := p.CreateGuild(owner.ID, "g", false)
 	var ch *Channel

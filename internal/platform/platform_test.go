@@ -12,6 +12,7 @@ import (
 func fixture(t *testing.T) (*Platform, *User, *Guild, *Channel) {
 	t.Helper()
 	p := New(Options{})
+	t.Cleanup(p.Close)
 	owner := p.CreateUser("owner")
 	g, err := p.CreateGuild(owner.ID, "testguild", false)
 	if err != nil {
@@ -35,6 +36,7 @@ func addUser(t *testing.T, p *Platform, g *Guild, name string) *User {
 
 func TestCreateUserAndTag(t *testing.T) {
 	p := New(Options{})
+	defer p.Close()
 	u := p.CreateUser("editid")
 	if u.ID == Nil {
 		t.Fatal("zero ID allocated")
@@ -56,6 +58,7 @@ func TestCreateUserAndTag(t *testing.T) {
 
 func TestRegisterBotAndToken(t *testing.T) {
 	p := New(Options{})
+	defer p.Close()
 	owner := p.CreateUser("dev")
 	bot, err := p.RegisterBot(owner.ID, "helper")
 	if err != nil {
@@ -140,6 +143,7 @@ func TestJoinGuildRules(t *testing.T) {
 
 func TestUnverifiedRapidJoinFlag(t *testing.T) {
 	p := New(Options{UnverifiedJoinLimit: 3})
+	defer p.Close()
 	owner := p.CreateUser("owner")
 	u := p.CreateUser("joiner")
 	var guilds []*Guild
@@ -173,6 +177,7 @@ func TestUnverifiedRapidJoinFlag(t *testing.T) {
 
 func TestNormalGuildLimit(t *testing.T) {
 	p := New(Options{NormalGuildLimit: 2, UnverifiedJoinLimit: 2})
+	defer p.Close()
 	owner := p.CreateUser("owner")
 	u := p.CreateUser("capped")
 	p.VerifyUser(u.ID)

@@ -5,26 +5,49 @@
 // records, per-link code analyses, per-bot honeypot verdicts, every
 // stage's quarantine ledger, and the per-stage retry-budget remainders.
 //
-// Snapshots are written atomically — encode to a temp file in the
-// store directory, fsync, rename into place — so a crash mid-write
-// leaves the previous snapshot intact. The on-disk format is a
-// self-describing header (schema version, payload length, CRC-32C)
-// followed by one JSON payload; Decode verifies all three and fails on
-// any mismatch. Unlike the journal's lenient decoder, snapshot decoding
-// is strict: a corrupt or truncated snapshot is an error, never a
-// silently half-loaded state, because resuming from partial state would
-// silently re-run or drop work.
+// Each run keeps one file: a base frame followed by zero or more delta
+// frames, each a self-describing header and one JSON payload:
+//
+//	ckptv1 <schema> <payload-len> <crc32c-hex>\n<payload>   base
+//	ckptd <payload-len> <crc32c-hex>\n<payload>             delta
+//
+// The base is a whole Snapshot; a delta is a Snapshot holding only the
+// work settled since the previous write (and the current budget
+// remainders). Decode verifies every frame and merges the deltas into
+// the base in file order, so readers always see one merged snapshot.
+//
+// Writes come in two kinds. Save encodes the whole snapshot to a temp
+// file in the store directory, fsyncs it and renames it into place, so
+// a crash mid-write leaves the previous file intact; it also drops every
+// delta the file held. Append adds one delta frame to the end of the
+// file in a single write and fsyncs it, so a periodic write costs the
+// work settled since the last one rather than the whole run. A writer
+// makes its run's first write and its final write with Save, and every
+// write between them with Append.
+//
+// Decoding is strict, unlike the journal's lenient decoder: a corrupt
+// snapshot is an error, never a silently half-loaded state, because
+// resuming from partial state would silently re-run or drop work. The
+// one exception is a torn tail: an Append cut short by a crash leaves
+// an unfinished delta frame at the end of the file — an unterminated
+// header that is a prefix of "ckptd " or starts with it, or a complete
+// delta header whose payload is short — and Decode drops it, since
+// that delta's write never completed. Any other damage, a bad checksum
+// in a complete final frame included, is ErrCorrupt.
 package checkpoint
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"repro/internal/codeanalysis"
@@ -34,11 +57,19 @@ import (
 
 // SchemaVersion is stamped in the header and payload of every snapshot
 // this build writes. Decode rejects snapshots from future schemas
-// rather than guessing at their shape.
-const SchemaVersion = 1
+// rather than guessing at their shape. Schema 2 added delta frames, so
+// a build that knows only schema 1 refuses a file that may carry them
+// as ErrFutureSchema; schema-1 files still load.
+const SchemaVersion = 2
 
-// magic opens every snapshot header line.
-const magic = "ckptv1"
+// magic opens a base frame's header, deltaMagic a delta frame's.
+const (
+	magic      = "ckptv1"
+	deltaMagic = "ckptd"
+)
+
+// castagnoli is the CRC-32C table every frame's checksum uses.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt marks a snapshot that failed structural validation —
 // truncated payload, checksum mismatch, trailing garbage, or a
@@ -111,20 +142,47 @@ func (s *Snapshot) Settled() int {
 	return n
 }
 
-// Encode writes the snapshot to w in the checked on-disk format:
+// merge folds a decoded delta into s. It is the one place the merge
+// rule lives: slices append, maps take the delta's entries key by key,
+// and BotIDs, recorded once when pagination settles, is set by the
+// first frame that carries it. A delta's identity fields (run ID, seed,
+// population, Completed) are ignored: the base carries the run's.
+func (s *Snapshot) merge(d *Snapshot) {
+	if len(s.BotIDs) == 0 {
+		s.BotIDs = d.BotIDs
+	}
+	s.Records = append(s.Records, d.Records...)
+	s.CollectQuarantine = append(s.CollectQuarantine, d.CollectQuarantine...)
+	s.CodeLinks = mergeMap(s.CodeLinks, d.CodeLinks)
+	s.CodeLinkErrs = mergeMap(s.CodeLinkErrs, d.CodeLinkErrs)
+	s.Verdicts = append(s.Verdicts, d.Verdicts...)
+	s.HoneypotQuarantine = append(s.HoneypotQuarantine, d.HoneypotQuarantine...)
+	s.BudgetLeft = mergeMap(s.BudgetLeft, d.BudgetLeft)
+}
+
+func mergeMap[V any](dst, src map[string]V) map[string]V {
+	if len(src) == 0 {
+		return dst
+	}
+	if dst == nil {
+		dst = make(map[string]V, len(src))
+	}
+	maps.Copy(dst, src)
+	return dst
+}
+
+// Encode writes the snapshot to w as a base frame, stamped with this
+// build's SchemaVersion:
 //
 //	ckptv1 <schema> <payload-len> <crc32c-hex>\n
 //	<payload JSON>
 func Encode(w io.Writer, s *Snapshot) error {
-	if s.Schema == 0 {
-		s.Schema = SchemaVersion
-	}
+	s.Schema = SchemaVersion
 	payload, err := json.Marshal(s)
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode: %w", err)
 	}
-	sum := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
-	if _, err := fmt.Fprintf(w, "%s %d %d %08x\n", magic, s.Schema, len(payload), sum); err != nil {
+	if _, err := fmt.Fprintf(w, "%s %d %d %08x\n", magic, s.Schema, len(payload), crc32.Checksum(payload, castagnoli)); err != nil {
 		return fmt.Errorf("checkpoint: encode header: %w", err)
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -133,15 +191,31 @@ func Encode(w io.Writer, s *Snapshot) error {
 	return nil
 }
 
-// maxPayload bounds a snapshot payload during decoding so a corrupt
+// encodeDelta returns d as one delta frame:
+//
+//	ckptd <payload-len> <crc32c-hex>\n
+//	<payload JSON>
+func encodeDelta(d *Snapshot) ([]byte, error) {
+	payload, err := json.Marshal(d)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: encode delta: %w", err)
+	}
+	frame := fmt.Appendf(make([]byte, 0, len(payload)+32), "%s %d %08x\n", deltaMagic, len(payload), crc32.Checksum(payload, castagnoli))
+	return append(frame, payload...), nil
+}
+
+// maxPayload bounds a frame's payload during decoding so a corrupt
 // header cannot demand an absurd allocation.
 const maxPayload = 1 << 30
 
-// Decode reads and verifies one snapshot. Any structural damage —
-// short or malformed header, payload shorter or longer than declared,
-// checksum mismatch, invalid JSON — returns ErrCorrupt; a schema newer
-// than this build returns ErrFutureSchema. On error the returned
-// snapshot is always nil: no partial loads.
+// Decode reads and verifies a snapshot file: the base frame, then each
+// delta frame merged in order. Any structural damage — short or
+// malformed header, a base payload shorter than declared, bytes after
+// a frame that cannot begin a delta, checksum mismatch, invalid JSON —
+// returns ErrCorrupt; a schema newer than this build returns
+// ErrFutureSchema. The one exception is a torn final delta, which is
+// dropped (see the package doc). On error the returned snapshot is
+// always nil: no partial loads.
 func Decode(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReader(r)
 	header, err := br.ReadString('\n')
@@ -157,36 +231,103 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if schema > SchemaVersion {
 		return nil, fmt.Errorf("%w: schema %d > %d", ErrFutureSchema, schema, SchemaVersion)
 	}
-	if length < 0 || length > maxPayload {
-		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, length)
+	payload, complete, err := readPayload(br, length)
+	if err != nil {
+		return nil, err
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	if !complete {
 		return nil, fmt.Errorf("%w: truncated payload", ErrCorrupt)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: trailing data after payload", ErrCorrupt)
-	}
-	if got := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)); got != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch (%08x != %08x)", ErrCorrupt, got, sum)
-	}
 	var s Snapshot
-	if err := json.Unmarshal(payload, &s); err != nil {
-		return nil, fmt.Errorf("%w: payload not valid JSON: %v", ErrCorrupt, err)
+	if err := unmarshalFrame(payload, sum, &s); err != nil {
+		return nil, err
 	}
 	if s.RunID == "" {
 		return nil, fmt.Errorf("%w: snapshot without run ID", ErrCorrupt)
 	}
-	return &s, nil
+	for {
+		d, err := decodeDelta(br)
+		if err != nil {
+			return nil, err
+		}
+		if d == nil {
+			return &s, nil
+		}
+		s.merge(d)
+	}
+}
+
+// decodeDelta reads the next delta frame. It returns nil, nil at the
+// end of the input, a torn final frame included.
+func decodeDelta(br *bufio.Reader) (*Snapshot, error) {
+	header, err := br.ReadString('\n')
+	if err == io.EOF {
+		if header == "" || strings.HasPrefix(deltaMagic+" ", header) || strings.HasPrefix(header, deltaMagic+" ") {
+			return nil, nil // the end, or a header torn mid-write
+		}
+		return nil, fmt.Errorf("%w: trailing data after payload", ErrCorrupt)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: read: %w", err)
+	}
+	f := strings.Split(strings.TrimSuffix(header, "\n"), " ")
+	if len(f) != 3 || f[0] != deltaMagic || len(f[2]) != 8 {
+		return nil, fmt.Errorf("%w: malformed delta header %q", ErrCorrupt, strings.TrimSpace(header))
+	}
+	length, lerr := strconv.Atoi(f[1])
+	sum, serr := strconv.ParseUint(f[2], 16, 32)
+	if lerr != nil || serr != nil {
+		return nil, fmt.Errorf("%w: malformed delta header %q", ErrCorrupt, strings.TrimSpace(header))
+	}
+	payload, complete, err := readPayload(br, length)
+	if err != nil || !complete {
+		return nil, err // a short payload is a delta torn mid-write
+	}
+	var d Snapshot
+	if err := unmarshalFrame(payload, uint32(sum), &d); err != nil {
+		return nil, err
+	}
+	return &d, nil
+}
+
+// readPayload reads a frame's declared length of payload; complete is
+// false when the input ends first. The buffer grows as bytes arrive,
+// so a header that overstates its length cannot force a large
+// allocation.
+func readPayload(br *bufio.Reader, length int) (payload []byte, complete bool, err error) {
+	if length < 0 || length > maxPayload {
+		return nil, false, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, length)
+	}
+	var buf bytes.Buffer
+	buf.Grow(min(length, 1<<20))
+	n, err := io.CopyN(&buf, br, int64(length))
+	if err != nil && err != io.EOF {
+		return nil, false, fmt.Errorf("checkpoint: read: %w", err)
+	}
+	return buf.Bytes(), n == int64(length), nil
+}
+
+// unmarshalFrame verifies a complete frame's checksum and decodes its
+// payload into s.
+func unmarshalFrame(payload []byte, sum uint32, s *Snapshot) error {
+	if got := crc32.Checksum(payload, castagnoli); got != sum {
+		return fmt.Errorf("%w: checksum mismatch (%08x != %08x)", ErrCorrupt, got, sum)
+	}
+	if err := json.Unmarshal(payload, s); err != nil {
+		return fmt.Errorf("%w: payload not valid JSON: %v", ErrCorrupt, err)
+	}
+	return nil
 }
 
 // Store keeps snapshots in one directory, one file per run ID.
 type Store struct {
 	dir string
 
-	// AfterSave, when set, runs after every successful Save — the
-	// chaos harness's hook for injecting SIGKILL-style aborts exactly
-	// at checkpoint boundaries (see faults.AbortInjector).
+	// AfterSave, when set, runs after every successful write, once it
+	// is durable: after a Save it receives the whole snapshot, after an
+	// Append the delta. It is the chaos harness's hook for injecting
+	// SIGKILL-style aborts exactly at checkpoint boundaries (see
+	// faults.AbortInjector).
 	AfterSave func(*Snapshot)
 }
 
@@ -220,8 +361,8 @@ func sanitize(runID string) string {
 
 // Save writes the snapshot atomically: encode to a temp file in the
 // store directory, fsync, then rename into place over any previous
-// snapshot for the same run. A crash at any point leaves either the
-// old snapshot or the new one — never a torn file.
+// file for the same run, its deltas included. A crash at any point
+// leaves either the old file or the new one — never a torn file.
 func (st *Store) Save(s *Snapshot) error {
 	if s.RunID == "" {
 		return errors.New("checkpoint: snapshot without run ID")
@@ -252,6 +393,36 @@ func (st *Store) Save(s *Snapshot) error {
 	return nil
 }
 
+// Append adds delta to the end of the run's file as one delta frame,
+// written in a single call and fsynced. The file must already hold a
+// base from Save; Append never creates one. A crash mid-append leaves
+// a torn final frame, which Decode drops.
+func (st *Store) Append(runID string, delta *Snapshot) error {
+	frame, err := encodeDelta(delta)
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(st.Path(runID), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return fmt.Errorf("checkpoint: append: %w", err)
+	}
+	if _, err := f.Write(frame); err != nil {
+		f.Close()
+		return fmt.Errorf("checkpoint: append: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("checkpoint: sync: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("checkpoint: close: %w", err)
+	}
+	if st.AfterSave != nil {
+		st.AfterSave(delta)
+	}
+	return nil
+}
+
 // Load reads and verifies the snapshot for a run ID.
 func (st *Store) Load(runID string) (*Snapshot, error) {
 	f, err := os.Open(st.Path(runID))
@@ -267,7 +438,8 @@ func (st *Store) Load(runID string) (*Snapshot, error) {
 }
 
 // Latest loads the most recently written snapshot in the store
-// (newest modification time; ties broken by name). It returns
+// (newest modification time, which an Append moves too; ties broken by
+// name). It returns
 // os.ErrNotExist (wrapped) when the store holds no snapshots.
 func (st *Store) Latest() (*Snapshot, error) {
 	entries, err := os.ReadDir(st.dir)

@@ -12,7 +12,7 @@ import (
 // or hostile writer left behind, Decode must never panic, and must
 // either return a fully verified snapshot or a typed error with a nil
 // snapshot. Corrupt and truncated inputs are detected, never silently
-// half-loaded.
+// half-loaded; only a torn final delta frame is dropped.
 func FuzzSnapshotDecode(f *testing.F) {
 	var good bytes.Buffer
 	if err := Encode(&good, &Snapshot{RunID: "run-seed", Seed: 1, NumBots: 10}); err != nil {
@@ -27,6 +27,26 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(magic + " 1 1000000000000 00000000\n"))
 	f.Add(append(append([]byte{}, good.Bytes()...), "trailing"...))
+
+	// A base followed by deltas, whole, torn in the last delta's
+	// header, torn in its payload, and with a byte of a complete delta
+	// flipped.
+	withDeltas := append([]byte{}, good.Bytes()...)
+	var last int
+	for _, d := range deltas() {
+		frame, err := encodeDelta(d)
+		if err != nil {
+			f.Fatal(err)
+		}
+		last = len(withDeltas)
+		withDeltas = append(withDeltas, frame...)
+	}
+	f.Add(withDeltas)
+	f.Add(withDeltas[:last+3])
+	f.Add(withDeltas[:len(withDeltas)-5])
+	flipped := append([]byte{}, withDeltas...)
+	flipped[last-4] ^= 0x40
+	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, input []byte) {
 		s, err := Decode(bytes.NewReader(input))

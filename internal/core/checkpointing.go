@@ -2,11 +2,11 @@
 // progress snapshots every N settled outcomes, at the end of the
 // pipelined phase and at finish, and a resumed run replays settled
 // (bot, stage) pairs instead of re-executing them. The snapshot format
-// and atomic store live in internal/checkpoint; this file holds the
-// resume loader, the read-only replay index the executor consults
-// before each stage, and the accumulator that the executor's
-// per-worker outcome batches feed. The stage packages know nothing of
-// checkpoints.
+// (a base plus appended deltas) and the store live in
+// internal/checkpoint; this file holds the resume loader, the
+// read-only replay index the executor consults before each stage, and
+// the accumulator that the executor's per-worker outcome batches feed.
+// The stage packages know nothing of checkpoints.
 package core
 
 import (
@@ -43,11 +43,14 @@ type CheckpointOptions struct {
 	Dir string
 	// Store persists the snapshots; overrides Dir.
 	Store *checkpoint.Store
-	// Every writes a snapshot once that many fresh outcomes (a bot's
-	// collect, code-analysis or honeypot result) have reached the
-	// checkpoint, in addition to the unconditional writes at the end of
-	// the pipelined phase and at finish (default 25). Outcomes arrive in
-	// per-worker batches, so a save lands at a batch boundary.
+	// Every writes a checkpoint once that many fresh outcomes (a bot's
+	// collect, code-analysis or honeypot result) have reached it, in
+	// addition to the unconditional writes at the end of the pipelined
+	// phase and at finish (default 25). Outcomes arrive in per-worker
+	// batches, so a write lands at a batch boundary. A periodic write
+	// appends only the outcomes settled since the previous write, so
+	// its cost does not grow with the run; the run's first write and
+	// the final one save the whole snapshot.
 	Every int
 	// Resume selects a snapshot to resume from: a run ID, or
 	// ResumeLatest for the newest in the store. Empty starts fresh.
@@ -149,8 +152,14 @@ type ckptState struct {
 	store *checkpoint.Store
 	every int
 
-	mu    sync.Mutex
+	mu sync.Mutex
+	// snap holds everything settled, for Settled() and the full saves;
+	// delta holds what was settled since the last successful write.
 	snap  *checkpoint.Snapshot
+	delta *checkpoint.Snapshot
+	// based is set once a full save of this run has succeeded and no
+	// write has failed since, so a delta may be appended to the file.
+	based bool
 	fresh int // outcomes folded in since the last write
 	// budgets are snapshotted into BudgetLeft at every write so a
 	// resumed run restores each stage's remainder.
@@ -168,12 +177,6 @@ func newCkptState(cfg CheckpointOptions, base *checkpoint.Snapshot, reg *obs.Reg
 	if every <= 0 {
 		every = 25
 	}
-	if base.CodeLinks == nil {
-		base.CodeLinks = make(map[string]*codeanalysis.RepoAnalysis)
-	}
-	if base.CodeLinkErrs == nil {
-		base.CodeLinkErrs = make(map[string]string)
-	}
 	if base.BudgetLeft == nil {
 		base.BudgetLeft = make(map[string]int)
 	}
@@ -181,6 +184,7 @@ func newCkptState(cfg CheckpointOptions, base *checkpoint.Snapshot, reg *obs.Reg
 		store:   cfg.Store,
 		every:   every,
 		snap:    base,
+		delta:   &checkpoint.Snapshot{},
 		budgets: make(map[string]*retry.Budget),
 		ctx:     context.Background(),
 		cWrites: reg.Counter("core_checkpoints_written_total"),
@@ -207,6 +211,7 @@ func (c *ckptState) noteListed(ids []int) {
 	c.mu.Lock()
 	if len(c.snap.BotIDs) == 0 {
 		c.snap.BotIDs = append([]int(nil), ids...)
+		c.delta.BotIDs = c.snap.BotIDs
 	}
 	c.mu.Unlock()
 }
@@ -240,34 +245,50 @@ func (c *ckptState) noteBatch(batch []pendingOutcome) {
 	}
 	c.mu.Lock()
 	for _, p := range batch {
-		switch {
-		case p.Stage == "codeanalysis" && p.Qerr != nil:
-			c.snap.CodeLinkErrs[p.Link] = p.Qerr.Error()
-		case p.Stage == "codeanalysis":
+		if p.Stage == "codeanalysis" && p.Qerr == nil {
 			// Bots sharing a link share its one fetch and so its
 			// outcome: store it once, as the master copy with no bot ID.
-			if _, ok := c.snap.CodeLinks[p.Link]; !ok {
-				master := *p.RA
-				master.BotID = 0
-				c.snap.CodeLinks[p.Link] = &master
+			if _, ok := c.snap.CodeLinks[p.Link]; ok {
+				continue
 			}
-		case p.Qerr != nil && p.Stage == "collect":
-			c.snap.CollectQuarantine = append(c.snap.CollectQuarantine,
-				checkpoint.QEntry{BotID: p.BotID, Err: p.Qerr.Error()})
-		case p.Qerr != nil:
-			c.snap.HoneypotQuarantine = append(c.snap.HoneypotQuarantine,
-				checkpoint.QEntry{BotID: p.BotID, Err: p.Qerr.Error()})
-		case p.Rec != nil:
-			c.snap.Records = append(c.snap.Records, p.Rec)
-		case p.V != nil:
-			c.snap.Verdicts = append(c.snap.Verdicts, p.V)
+			master := *p.RA
+			master.BotID = 0
+			p.RA = &master
 		}
+		addOutcome(c.snap, p)
+		addOutcome(c.delta, p)
 	}
 	c.fresh += len(batch)
 	if c.fresh >= c.every {
-		c.writeLocked(batch[len(batch)-1].Stage)
+		c.writeLocked(batch[len(batch)-1].Stage, false)
 	}
 	c.mu.Unlock()
+}
+
+// addOutcome folds one settled outcome into s.
+func addOutcome(s *checkpoint.Snapshot, p pendingOutcome) {
+	switch {
+	case p.Stage == "codeanalysis" && p.Qerr != nil:
+		if s.CodeLinkErrs == nil {
+			s.CodeLinkErrs = make(map[string]string)
+		}
+		s.CodeLinkErrs[p.Link] = p.Qerr.Error()
+	case p.Stage == "codeanalysis":
+		if s.CodeLinks == nil {
+			s.CodeLinks = make(map[string]*codeanalysis.RepoAnalysis)
+		}
+		s.CodeLinks[p.Link] = p.RA
+	case p.Qerr != nil && p.Stage == "collect":
+		s.CollectQuarantine = append(s.CollectQuarantine,
+			checkpoint.QEntry{BotID: p.BotID, Err: p.Qerr.Error()})
+	case p.Qerr != nil:
+		s.HoneypotQuarantine = append(s.HoneypotQuarantine,
+			checkpoint.QEntry{BotID: p.BotID, Err: p.Qerr.Error()})
+	case p.Rec != nil:
+		s.Records = append(s.Records, p.Rec)
+	case p.V != nil:
+		s.Verdicts = append(s.Verdicts, p.V)
+	}
 }
 
 // boundary writes a snapshot unconditionally — called when the
@@ -277,7 +298,7 @@ func (c *ckptState) boundary(stage string) {
 		return
 	}
 	c.mu.Lock()
-	c.writeLocked(stage)
+	c.writeLocked(stage, false)
 	c.mu.Unlock()
 }
 
@@ -288,23 +309,35 @@ func (c *ckptState) finish() {
 	}
 	c.mu.Lock()
 	c.snap.Completed = true
-	c.writeLocked("final")
+	c.writeLocked("final", true)
 	c.mu.Unlock()
 }
 
-// writeLocked captures budget remainders and saves the snapshot. The
-// save (file write + rename) runs under the lock: snapshots are small
-// and holding it keeps the encoder from racing concurrent appends to
-// the accumulating maps. Caller holds c.mu.
-func (c *ckptState) writeLocked(stage string) {
+// writeLocked captures budget remainders and writes a checkpoint: the
+// whole snapshot when full is set or no full save of this run stands
+// yet (its first write, or the first after a failed one), otherwise
+// only the delta settled since the last write. Either runs under the
+// lock, which keeps the encoder from racing concurrent folds into the
+// accumulating maps; a delta is a batch or two of outcomes, so the
+// append is short. Caller holds c.mu.
+func (c *ckptState) writeLocked(stage string, full bool) {
 	c.fresh = 0
 	for name, b := range c.budgets {
 		c.snap.BudgetLeft[name] = b.Remaining()
 	}
-	if err := c.store.Save(c.snap); err != nil {
+	c.delta.BudgetLeft = c.snap.BudgetLeft
+	var err error
+	if full || !c.based {
+		err = c.store.Save(c.snap)
+	} else {
+		err = c.store.Append(c.snap.RunID, c.delta)
+	}
+	c.based = err == nil
+	if err != nil {
 		// A failed checkpoint must not fail the science: count it,
 		// journal it, and keep the pipeline running on the previous
-		// snapshot's durability.
+		// write's durability. The delta is kept, and the next write
+		// saves the whole snapshot.
 		c.cErrors.Inc()
 		journal.Emit(c.ctx, "core", journal.KindCheckpointWritten, map[string]any{
 			"stage": stage,
@@ -312,6 +345,7 @@ func (c *ckptState) writeLocked(stage string) {
 		})
 		return
 	}
+	c.delta = &checkpoint.Snapshot{}
 	c.cWrites.Inc()
 	journal.Emit(c.ctx, "core", journal.KindCheckpointWritten, map[string]any{
 		"stage":   stage,

@@ -35,12 +35,11 @@ import (
 // ScaleStats is the executor's scheduler and throughput accounting,
 // which the report's scale block and perfbench read.
 type ScaleStats struct {
-	Bots    int   `json:"bots"`   // listed bots (collect items)
-	Sample  int   `json:"sample"` // honeypot sample size
-	Items   int   `json:"items"`  // scheduled work items (listing ∪ sample)
-	Seed    int64 `json:"seed"`
-	Shards  int   `json:"shards"`
-	Workers int   `json:"workers"`
+	Bots   int   `json:"bots"`   // listed bots (collect items)
+	Sample int   `json:"sample"` // honeypot sample size
+	Items  int   `json:"items"`  // scheduled work items (listing ∪ sample)
+	Seed   int64 `json:"seed"`
+	Shards int   `json:"shards"` // one worker per shard
 
 	ElapsedMS  float64 `json:"elapsed_ms"`
 	BotsPerSec float64 `json:"bots_per_sec"`
@@ -69,8 +68,8 @@ type StageStats struct {
 // Report renders the scale accounting as text. The per-stage totals
 // are the stage table's Items and Busy, so they are not printed again.
 func (s *ScaleStats) Report(w io.Writer) {
-	fmt.Fprintf(w, "Sharded executor: %d items (%d listed, sample %d) on %d shard(s) × %d worker(s) in %.0fms (%.1f bots/sec, %d steal(s), imbalance %.2f)\n",
-		s.Items, s.Bots, s.Sample, s.Shards, s.Workers, s.ElapsedMS, s.BotsPerSec, s.Steals, s.ShardImbalance)
+	fmt.Fprintf(w, "Sharded executor: %d items (%d listed, sample %d) on %d shard(s) in %.0fms (%.1f bots/sec, %d steal(s), imbalance %.2f)\n",
+		s.Items, s.Bots, s.Sample, s.Shards, s.ElapsedMS, s.BotsPerSec, s.Steals, s.ShardImbalance)
 }
 
 // workItem is one bot's trip through the pipeline: listIdx indexes the
@@ -451,7 +450,6 @@ func (a *Auditor) runSharded(r *run) error {
 		Items:            len(items),
 		Seed:             a.opts.Seed,
 		Shards:           shards,
-		Workers:          stats.Workers,
 		ElapsedMS:        float64(elapsed) / float64(time.Millisecond),
 		BotsPerSec:       botsPerSec,
 		Steals:           stats.Steals,

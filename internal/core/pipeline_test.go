@@ -104,8 +104,8 @@ func TestShardedMatchesSequential(t *testing.T) {
 	if seq.Scale == nil || shd.Scale == nil {
 		t.Fatal("a run reported no ScaleStats")
 	}
-	if s := seq.Scale; s.Shards != 1 || s.Workers != 1 {
-		t.Fatalf("sequential Scale reports %d shards × %d workers, want 1 × 1", s.Shards, s.Workers)
+	if s := seq.Scale; s.Shards != 1 {
+		t.Fatalf("sequential Scale reports %d shards, want 1", s.Shards)
 	}
 	if !reflect.DeepEqual(shd.Records, seq.Records) {
 		t.Fatalf("records diverged: sharded %d, sequential %d", len(shd.Records), len(seq.Records))
@@ -145,8 +145,8 @@ func TestShardedMatchesSequential(t *testing.T) {
 	}
 
 	s := shd.Scale
-	if s.Shards != 4 || s.Workers != 4 {
-		t.Fatalf("Scale reports %d shards × %d workers, want 4 × 4", s.Shards, s.Workers)
+	if s.Shards != 4 {
+		t.Fatalf("Scale reports %d shards, want 4", s.Shards)
 	}
 	if s.Items != len(seq.Records) {
 		t.Fatalf("scheduled %d items, want one per listed bot (%d)", s.Items, len(seq.Records))

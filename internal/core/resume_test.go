@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -591,5 +593,138 @@ func TestStageBudgetSurfaced(t *testing.T) {
 	res.Report(&sb)
 	if !strings.Contains(sb.String(), "Budget left") {
 		t.Fatal("report's stage table lacks the Budget left column")
+	}
+}
+
+// TestResumePastTornDelta kills a run just after a periodic write,
+// cuts the checkpoint file in the middle of its last write, as a crash
+// during an append leaves it, and resumes. The load must drop the torn
+// write and keep everything before it, the resume must re-execute
+// nothing the loaded snapshot settled, every write of the resumed run
+// must leave a loadable file, and the run must converge to an
+// uninterrupted baseline.
+func TestResumePastTornDelta(t *testing.T) {
+	newOpts := func() Options {
+		return Options{
+			Seed:     7,
+			NumBots:  60,
+			Honeypot: HoneypotOptions{Sample: 6, Settle: 300 * time.Millisecond},
+			Obs:      obs.NewRegistry(),
+		}
+	}
+	base := func() *Results {
+		a, err := NewAuditor(newOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		return runAll(t, a)
+	}()
+
+	dir := t.TempDir()
+	st, err := checkpoint.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The store holds this one run, so its file is the only .ckpt.
+	ckptFile := func() string {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+		if err != nil || len(paths) != 1 {
+			t.Fatalf("store holds %v (%v), want one snapshot file", paths, err)
+		}
+		return paths[0]
+	}
+
+	// Die at the 3rd write, recording the file's size after each one.
+	var sizes []int64
+	opts := newOpts()
+	opts.Checkpoint = CheckpointOptions{Store: st, Every: 3}
+	a, err := NewAuditor(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	ab := faults.NewAbort(3, cancel)
+	st.AfterSave = func(*checkpoint.Snapshot) {
+		ab.Tick()
+		fi, err := os.Stat(ckptFile())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		sizes = append(sizes, fi.Size())
+	}
+	_, runErr := a.RunAllContext(ctx)
+	st.AfterSave = nil
+	cancel()
+	a.Close()
+	if !errors.Is(runErr, context.Canceled) || !ab.Fired() {
+		t.Fatalf("killed run returned %v (injector fired %v), want the injected abort", runErr, ab.Fired())
+	}
+	if len(sizes) < 3 {
+		t.Fatalf("killed run made %d writes, want at least 3", len(sizes))
+	}
+
+	// Cut the file halfway through its last write.
+	from, to := sizes[len(sizes)-2], sizes[len(sizes)-1]
+	if to <= from {
+		t.Fatalf("last write left the file at %d bytes, the one before at %d", to, from)
+	}
+	if err := os.Truncate(ckptFile(), from+(to-from)/2); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := st.Latest()
+	if err != nil {
+		t.Fatalf("load of a file torn in its last write: %v", err)
+	}
+	if snap.Settled() == 0 {
+		t.Fatal("the loaded snapshot settled nothing, so the resume replays nothing")
+	}
+
+	opts = newOpts()
+	opts.Checkpoint = CheckpointOptions{Store: st, Every: 3, Resume: ResumeLatest}
+	var buf bytes.Buffer
+	jnl := journal.New(&buf, journal.Options{Obs: opts.Obs})
+	opts.Journal = jnl
+	a, err = NewAuditor(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	st.AfterSave = func(*checkpoint.Snapshot) {
+		if _, err := st.Latest(); err != nil {
+			t.Errorf("a write of the resumed run left an unloadable file: %v", err)
+		}
+	}
+	final := runAll(t, a)
+	st.AfterSave = nil
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, _, err := journal.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyNoReexecution(t, 1, snap, events)
+
+	if !reflect.DeepEqual(final.Records, base.Records) {
+		t.Fatal("resumed run's records diverged from the uninterrupted baseline")
+	}
+	if !reflect.DeepEqual(final.Table2, base.Table2) || !reflect.DeepEqual(final.DataTypes, base.DataTypes) {
+		t.Fatal("resumed traceability results diverged from the baseline")
+	}
+	if !reflect.DeepEqual(final.Code, base.Code) {
+		t.Fatal("resumed code-analysis result diverged from the baseline")
+	}
+	if final.Honeypot.Tested != base.Honeypot.Tested || !reflect.DeepEqual(triggeredNames(final), triggeredNames(base)) {
+		t.Fatalf("resumed honeypot tested %d, triggered %v; baseline %d, %v",
+			final.Honeypot.Tested, triggeredNames(final), base.Honeypot.Tested, triggeredNames(base))
+	}
+	last, err := st.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !last.Completed || len(last.Records) != len(base.Records) {
+		t.Fatalf("final snapshot completed %v with %d records, want completed with %d", last.Completed, len(last.Records), len(base.Records))
 	}
 }

@@ -47,7 +47,7 @@ func (p *Platform) KickMember(actorID, guildID, targetID ID) error {
 	if _, err := p.moderationTargetLocked(g, actorID, targetID, permissions.ActionKick); err != nil {
 		return err
 	}
-	delete(g.Members, targetID)
+	p.removeMemberLocked(g, targetID)
 	p.auditLocked(guildID, actorID, "member.kick", targetID.String(), "")
 	p.publishLocked(Event{Type: EventGuildMemberRemove, GuildID: guildID, UserID: targetID, At: p.now()})
 	return nil
@@ -67,7 +67,7 @@ func (p *Platform) BanMember(actorID, guildID, targetID ID) error {
 	if _, err := p.moderationTargetLocked(g, actorID, targetID, permissions.ActionBan); err != nil {
 		return err
 	}
-	delete(g.Members, targetID)
+	p.removeMemberLocked(g, targetID)
 	g.Banned[targetID] = true
 	p.auditLocked(guildID, actorID, "member.ban", targetID.String(), "")
 	p.publishLocked(Event{Type: EventGuildBanAdd, GuildID: guildID, UserID: targetID, At: p.now()})

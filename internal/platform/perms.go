@@ -188,12 +188,11 @@ func (p *Platform) denyLocked(g *Guild, actorID ID, need permissions.Permission,
 }
 
 func (p *Platform) channelLocked(channelID ID) (*Channel, *Guild, error) {
-	for _, g := range p.guilds {
-		if ch, ok := g.Channels[channelID]; ok {
-			return ch, g, nil
-		}
+	ch, ok := p.channels[channelID]
+	if !ok {
+		return nil, nil, ErrNotFound
 	}
-	return nil, nil, ErrNotFound
+	return ch, p.guilds[ch.GuildID], nil
 }
 
 func (p *Platform) actorLocked(g *Guild, actorID ID) permissions.Actor {

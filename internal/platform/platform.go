@@ -73,6 +73,14 @@ type Platform struct {
 	webhooks map[string]*Webhook // webhook token -> webhook
 	audit    []AuditEntry
 
+	// channels and memberOf index what would otherwise take a scan of
+	// every guild: a channel by its ID (channels are never removed),
+	// and the guilds each user belongs to. They change only with
+	// Guild.Channels and Guild.Members, through addChannelLocked,
+	// addMemberLocked and removeMemberLocked.
+	channels map[ID]*Channel
+	memberOf map[ID]map[ID]struct{} // user ID -> guild IDs
+
 	normalGuildLimit    int
 	unverifiedJoinLimit int
 	now                 func() time.Time
@@ -101,6 +109,8 @@ func New(opts Options) *Platform {
 		users:               make(map[ID]*User),
 		tokens:              make(map[string]ID),
 		guilds:              make(map[ID]*Guild),
+		channels:            make(map[ID]*Channel),
+		memberOf:            make(map[ID]map[ID]struct{}),
 		invites:             make(map[string]ID),
 		normalGuildLimit:    opts.NormalGuildLimit,
 		unverifiedJoinLimit: opts.UnverifiedJoinLimit,
@@ -244,10 +254,9 @@ func (p *Platform) CreateGuild(ownerID ID, name string, private bool) (*Guild, e
 	}
 	g.Roles[everyone.ID] = everyone
 	g.everyoneRole = everyone.ID
-	general := &Channel{ID: p.ids.Next(), GuildID: g.ID, Name: "general", Kind: ChannelText}
-	g.Channels[general.ID] = general
-	g.Members[ownerID] = &Member{UserID: ownerID, JoinedAt: p.now()}
 	p.guilds[g.ID] = g
+	p.addChannelLocked(g, &Channel{ID: p.ids.Next(), GuildID: g.ID, Name: "general", Kind: ChannelText})
+	p.addMemberLocked(g, &Member{UserID: ownerID, JoinedAt: p.now()})
 	p.auditLocked(g.ID, ownerID, "guild.create", g.ID.String(), name)
 	return g, nil
 }
@@ -274,13 +283,40 @@ func (p *Platform) GuildsOf(userID ID) []ID {
 
 func (p *Platform) guildsOfLocked(userID ID) []ID {
 	var out []ID
-	for id, g := range p.guilds {
-		if _, ok := g.Members[userID]; ok {
-			out = append(out, id)
-		}
+	for id := range p.memberOf[userID] {
+		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// addChannelLocked adds ch to g and to the channel index.
+func (p *Platform) addChannelLocked(g *Guild, ch *Channel) {
+	g.Channels[ch.ID] = ch
+	p.channels[ch.ID] = ch
+}
+
+// addMemberLocked adds m to g and to the membership index.
+func (p *Platform) addMemberLocked(g *Guild, m *Member) {
+	g.Members[m.UserID] = m
+	gs := p.memberOf[m.UserID]
+	if gs == nil {
+		gs = make(map[ID]struct{})
+		p.memberOf[m.UserID] = gs
+	}
+	gs[g.ID] = struct{}{}
+}
+
+// removeMemberLocked removes the user from g and from the membership
+// index.
+func (p *Platform) removeMemberLocked(g *Guild, userID ID) {
+	delete(g.Members, userID)
+	if gs := p.memberOf[userID]; gs != nil {
+		delete(gs, g.ID)
+		if len(gs) == 0 {
+			delete(p.memberOf, userID)
+		}
+	}
 }
 
 // JoinGuild adds a user to a public guild, enforcing bans, verification
@@ -313,14 +349,14 @@ func (p *Platform) admitLocked(g *Guild, userID ID) error {
 	if _, already := g.Members[userID]; already {
 		return ErrAlreadyMember
 	}
-	n := len(p.guildsOfLocked(userID))
+	n := len(p.memberOf[userID])
 	if !u.Verified && n >= p.unverifiedJoinLimit {
 		return ErrVerification
 	}
 	if n >= p.normalGuildLimit {
 		return ErrGuildLimit
 	}
-	g.Members[userID] = &Member{UserID: userID, JoinedAt: p.now()}
+	p.addMemberLocked(g, &Member{UserID: userID, JoinedAt: p.now()})
 	p.publishLocked(Event{Type: EventGuildMemberAdd, GuildID: g.ID, UserID: userID, At: p.now()})
 	return nil
 }
@@ -375,7 +411,7 @@ func (p *Platform) LeaveGuild(userID, guildID ID) error {
 	if _, ok := g.Members[userID]; !ok {
 		return ErrNotMember
 	}
-	delete(g.Members, userID)
+	p.removeMemberLocked(g, userID)
 	p.publishLocked(Event{Type: EventGuildMemberRemove, GuildID: guildID, UserID: userID, At: p.now()})
 	return nil
 }
@@ -428,7 +464,7 @@ func (p *Platform) InstallBot(installerID, guildID, botID ID, requested permissi
 		}
 	}
 	g.Roles[role.ID] = role
-	g.Members[botID] = &Member{UserID: botID, RoleIDs: []ID{role.ID}, JoinedAt: p.now()}
+	p.addMemberLocked(g, &Member{UserID: botID, RoleIDs: []ID{role.ID}, JoinedAt: p.now()})
 	p.auditLocked(guildID, installerID, "bot.install", bot.Tag(), requested.String())
 	p.publishLocked(Event{Type: EventGuildMemberAdd, GuildID: guildID, UserID: botID, At: p.now()})
 	return role, nil
@@ -454,7 +490,7 @@ func (p *Platform) UninstallBot(actorID, guildID, botID ID) error {
 			delete(g.Roles, rid)
 		}
 	}
-	delete(g.Members, botID)
+	p.removeMemberLocked(g, botID)
 	p.auditLocked(guildID, actorID, "bot.uninstall", botID.String(), "")
 	p.publishLocked(Event{Type: EventGuildMemberRemove, GuildID: guildID, UserID: botID, At: p.now()})
 	return nil

@@ -14,7 +14,7 @@ func (p *Platform) CreateChannel(actorID, guildID ID, name string, kind ChannelK
 		return nil, err
 	}
 	ch := &Channel{ID: p.ids.Next(), GuildID: guildID, Name: name, Kind: kind}
-	g.Channels[ch.ID] = ch
+	p.addChannelLocked(g, ch)
 	p.auditLocked(guildID, actorID, "channel.create", name, kind.String())
 	return ch, nil
 }

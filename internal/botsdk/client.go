@@ -80,28 +80,20 @@ type Options struct {
 	// DialTimeout bounds the TCP connect and the identify handshake;
 	// default 5s.
 	DialTimeout time.Duration
-	// Retry governs the backoff applied when the gateway rate-limits a
-	// request: the gateway's RetryAfterMS hint is honoured (clamped to
-	// the policy's RetryAfterCap) with jittered exponential backoff
-	// between attempts, and a shared Retry.Budget lets a fleet of
-	// sessions (loadgen, the honeypot campaign) bound total retry work.
-	// The zero value uses defaultRetryPolicy.
-	Retry retry.Policy
 }
 
-// defaultRetryPolicy is tuned for gateway rate limits: short base
-// delays (hints dominate), enough attempts to ride out a sustained
-// throttle, and deterministic jitter.
-func defaultRetryPolicy() retry.Policy {
-	return retry.Policy{
-		MaxAttempts:   8,
-		BaseDelay:     2 * time.Millisecond,
-		MaxDelay:      time.Second,
-		Multiplier:    2,
-		Jitter:        0.2,
-		Seed:          1,
-		RetryAfterCap: 2 * time.Second,
-	}
+// throttlePolicy is the backoff every request applies when the gateway
+// rate-limits it, tuned for gateway rate limits: short base delays
+// (the gateway's RetryAfterMS hints dominate), enough attempts to ride
+// out a sustained throttle, and deterministic jitter.
+var throttlePolicy = retry.Policy{
+	MaxAttempts:   8,
+	BaseDelay:     2 * time.Millisecond,
+	MaxDelay:      time.Second,
+	Multiplier:    2,
+	Jitter:        0.2,
+	Seed:          1,
+	RetryAfterCap: 2 * time.Second,
 }
 
 // Session is one authenticated bot connection.
@@ -115,9 +107,8 @@ type Session struct {
 	botName string
 	guilds  []string
 
-	reqTimeout  time.Duration
-	retryPolicy retry.Policy
-	nextID      int64
+	reqTimeout time.Duration
+	nextID     int64
 
 	mu       sync.Mutex
 	pending  map[int64]chan gateway.Frame
@@ -138,26 +129,20 @@ func Dial(addr, token string, opts Options) (*Session, error) {
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 5 * time.Second
 	}
-	if opts.Retry.MaxAttempts == 0 && opts.Retry.BaseDelay == 0 {
-		budget := opts.Retry.Budget
-		opts.Retry = defaultRetryPolicy()
-		opts.Retry.Budget = budget
-	}
 	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("botsdk: dial %s: %w", addr, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Session{
-		conn:        conn,
-		enc:         json.NewEncoder(conn),
-		reqTimeout:  opts.RequestTimeout,
-		retryPolicy: opts.Retry,
-		pending:     make(map[int64]chan gateway.Frame),
-		handlers:    make(map[string][]Handler),
-		done:        make(chan struct{}),
-		ctx:         ctx,
-		cancel:      cancel,
+		conn:       conn,
+		enc:        json.NewEncoder(conn),
+		reqTimeout: opts.RequestTimeout,
+		pending:    make(map[int64]chan gateway.Frame),
+		handlers:   make(map[string][]Handler),
+		done:       make(chan struct{}),
+		ctx:        ctx,
+		cancel:     cancel,
 	}
 	if err := s.send(gateway.Frame{Op: gateway.OpIdentify, Token: token}); err != nil {
 		cancel()
@@ -359,13 +344,14 @@ func (e *ShedError) Unwrap() error { return ErrShedding }
 
 // request performs one round-trip, transparently backing off and
 // retrying when the gateway rate-limits the session (like Discord SDKs
-// honouring Retry-After). Backoff policy — jittered exponential delays,
-// the gateway's RetryAfterMS hint, and the optional shared retry budget
-// — comes from Options.Retry via internal/retry, so SDK clients degrade
-// the same way every other stage of the pipeline does.
+// honouring Retry-After). The backoff — jittered exponential delays
+// that honour the gateway's RetryAfterMS hint, at most
+// throttlePolicy.MaxAttempts tries — runs through internal/retry, so
+// SDK clients degrade the same way every other stage of the pipeline
+// does.
 func (s *Session) request(method string, args map[string]any) (map[string]any, error) {
 	var res map[string]any
-	err := retry.Do(s.ctx, s.retryPolicy, func(context.Context) error {
+	err := retry.Do(s.ctx, throttlePolicy, func(context.Context) error {
 		r, retryAfter, err := s.requestOnce(method, args)
 		if err != nil {
 			// Anything but a throttle (platform denial, timeout, closed

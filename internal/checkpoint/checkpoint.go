@@ -2,8 +2,8 @@
 // snapshots so a run killed mid-crawl can resume instead of repeating
 // days of settled work. A Snapshot records, keyed by run ID, everything
 // the pipeline has settled so far: the discovery order, per-bot collect
-// records, per-link code analyses, per-bot honeypot verdicts, every
-// stage's quarantine ledger, and the per-stage retry-budget remainders.
+// records, per-link code analyses, per-bot honeypot verdicts, and every
+// stage's quarantine ledger.
 //
 // Each run keeps one file: a base frame followed by zero or more delta
 // frames, each a self-describing header and one JSON payload:
@@ -12,9 +12,9 @@
 //	ckptd <payload-len> <crc32c-hex>\n<payload>             delta
 //
 // The base is a whole Snapshot; a delta is a Snapshot holding only the
-// work settled since the previous write (and the current budget
-// remainders). Decode verifies every frame and merges the deltas into
-// the base in file order, so readers always see one merged snapshot.
+// work settled since the previous write. Decode verifies every frame
+// and merges the deltas into the base in file order, so readers always
+// see one merged snapshot.
 //
 // Writes come in two kinds. Save encodes the whole snapshot to a temp
 // file in the store directory, fsyncs it and renames it into place, so
@@ -124,11 +124,6 @@ type Snapshot struct {
 	// verdicts carry no Runner (it is process state, not evidence).
 	Verdicts           []*honeypot.Verdict `json:"verdicts,omitempty"`
 	HoneypotQuarantine []QEntry            `json:"honeypot_quarantine,omitempty"`
-
-	// BudgetLeft is the per-stage retry-budget remainder at write time,
-	// restored on resume so a resumed run cannot out-retry an
-	// uninterrupted one. Stages absent from the map ran unbudgeted.
-	BudgetLeft map[string]int `json:"budget_left,omitempty"`
 }
 
 // Settled reports how many (bot, stage) pairs the snapshot has settled
@@ -157,7 +152,6 @@ func (s *Snapshot) merge(d *Snapshot) {
 	s.CodeLinkErrs = mergeMap(s.CodeLinkErrs, d.CodeLinkErrs)
 	s.Verdicts = append(s.Verdicts, d.Verdicts...)
 	s.HoneypotQuarantine = append(s.HoneypotQuarantine, d.HoneypotQuarantine...)
-	s.BudgetLeft = mergeMap(s.BudgetLeft, d.BudgetLeft)
 }
 
 func mergeMap[V any](dst, src map[string]V) map[string]V {

@@ -37,7 +37,6 @@ func sample(runID string) *Snapshot {
 			{Subject: honeypot.Subject{ListingID: 1, Name: "alpha"}, GuildTag: "hp-alpha", Triggered: true},
 		},
 		HoneypotQuarantine: []QEntry{{BotID: 9, Name: "gamma", Err: "gateway down"}},
-		BudgetLeft:         map[string]int{"collect": 41, "codeanalysis": 60},
 	}
 }
 

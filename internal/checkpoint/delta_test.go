@@ -21,7 +21,6 @@ func deltas() []*Snapshot {
 		{
 			Records:      []*scraper.Record{{ID: 4, Name: "delta", Votes: 3, PermsValid: true}},
 			CodeLinkErrs: map[string]string{"/gh/flaky": "timeout after retries"},
-			BudgetLeft:   map[string]int{"collect": 40},
 		},
 		{
 			BotIDs:            []int{3, 1, 2, 4, 5},
@@ -29,8 +28,7 @@ func deltas() []*Snapshot {
 			CodeLinks: map[string]*codeanalysis.RepoAnalysis{
 				"/gh/dev/other": {Link: "/gh/dev/other", Outcome: codeanalysis.OutcomeValidRepo, MainLanguage: "Go"},
 			},
-			Verdicts:   []*honeypot.Verdict{{Subject: honeypot.Subject{ListingID: 4, Name: "delta"}, GuildTag: "hp-delta"}},
-			BudgetLeft: map[string]int{"collect": 38, "codeanalysis": 59},
+			Verdicts: []*honeypot.Verdict{{Subject: honeypot.Subject{ListingID: 4, Name: "delta"}, GuildTag: "hp-delta"}},
 		},
 		{
 			Records:            []*scraper.Record{{ID: 6, Name: "zeta", InvalidReason: scraper.InvalidRemoved}},
@@ -58,14 +56,12 @@ func merged(runID string, n int) *Snapshot {
 	if n >= 1 {
 		want.Records = append(want.Records, ds[0].Records...)
 		want.CodeLinkErrs["/gh/flaky"] = "timeout after retries"
-		want.BudgetLeft["collect"] = 40
 	}
 	if n >= 2 {
 		want.BotIDs = []int{3, 1, 2, 4, 5}
 		want.CollectQuarantine = append(want.CollectQuarantine, ds[1].CollectQuarantine...)
 		want.CodeLinks["/gh/dev/other"] = ds[1].CodeLinks["/gh/dev/other"]
 		want.Verdicts = append(want.Verdicts, ds[1].Verdicts...)
-		want.BudgetLeft["collect"], want.BudgetLeft["codeanalysis"] = 38, 59
 	}
 	if n >= 3 {
 		want.Records = append(want.Records, ds[2].Records...)
@@ -271,5 +267,35 @@ func TestLatestFollowsAppend(t *testing.T) {
 	}
 	if s.RunID != "run-a" || !reflect.DeepEqual(s, merged("run-a", 1)) {
 		t.Fatalf("Latest after appending to run-a = %+v", s)
+	}
+}
+
+// TestDecodeSkipsBudgetLeft loads a file an earlier build wrote, when a
+// run could set a per-stage retry budget: its base and its delta both
+// carry "budget_left". The key is no longer part of a Snapshot, and the
+// file must still load, equal to the same snapshot without it.
+func TestDecodeSkipsBudgetLeft(t *testing.T) {
+	raw, err := os.ReadFile("testdata/budget_left.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(raw, []byte(`"budget_left":{"collect":41}`)); n != 2 {
+		t.Fatalf("fixture carries budget_left in %d frames, want base and delta", n)
+	}
+	got, err := Decode(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	want := &Snapshot{
+		Schema: SchemaVersion, RunID: "run-parent", Seed: 2022, NumBots: 40, HoneypotSample: 3,
+		BotIDs: []int{7, 5, 9},
+		Records: []*scraper.Record{
+			{ID: 7, Name: "alpha", Votes: 12, PermsValid: true},
+			{ID: 9, Name: "beta", InvalidReason: scraper.InvalidRemoved},
+		},
+		CollectQuarantine: []QEntry{{BotID: 5, Err: "endpoint unavailable after retries"}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded\n%+v\nwant\n%+v", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 )
@@ -47,6 +48,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 	flipped := append([]byte{}, withDeltas...)
 	flipped[last-4] ^= 0x40
 	f.Add(flipped)
+
+	// A base and a delta from an earlier build, each carrying the
+	// retired "budget_left" key.
+	old, err := os.ReadFile("testdata/budget_left.ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
 
 	f.Fuzz(func(t *testing.T, input []byte) {
 		s, err := Decode(bytes.NewReader(input))

@@ -96,12 +96,6 @@ type ExecOptions struct {
 	// event, stage "pipeline", carrying a full goroutine dump, then its
 	// context is cancelled with ErrStageStalled as the cause.
 	StageSoftDeadline time.Duration
-	// StageRetryBudget, when positive, gives each network stage
-	// (collect, codeanalysis) its own shared retry budget of that many
-	// retries, surfaced as the stage table's "Budget left" column and
-	// persisted across checkpoint/resume. Zero keeps the historical
-	// per-fetch pools.
-	StageRetryBudget int
 }
 
 // TraceOptions configures the per-bot tracing layer: a span per bot
@@ -534,9 +528,7 @@ type run struct {
 	ck     *ckptState
 	replay *replay // the resumed snapshot's settled work; empty when fresh
 
-	collectBudget *retry.Budget
-	codeBudget    *retry.Budget
-	cDegraded     *obs.Counter
+	cDegraded *obs.Counter
 }
 
 // stage opens a run-level stage under ctx: the returned context traces
@@ -675,27 +667,6 @@ func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 		ck:        ck,
 		replay:    newReplay(resumed),
 		cDegraded: a.obs.Counter("core_stages_degraded_total"),
-	}
-
-	// Per-stage retry budgets, restored to their checkpointed
-	// remainders on resume so a resumed run cannot out-retry an
-	// uninterrupted one.
-	if a.opts.Exec.StageRetryBudget > 0 {
-		nCollect, nCode := a.opts.Exec.StageRetryBudget, a.opts.Exec.StageRetryBudget
-		if resumed != nil {
-			if left, ok := resumed.BudgetLeft["collect"]; ok {
-				nCollect = left
-			}
-			if left, ok := resumed.BudgetLeft["codeanalysis"]; ok {
-				nCode = left
-			}
-		}
-		r.collectBudget = retry.NewBudget(nCollect)
-		r.codeBudget = retry.NewBudget(nCode)
-		a.listClient.SetRetryBudget(r.collectBudget)
-		a.codeClient.SetRetryBudget(r.codeBudget)
-		ck.trackBudget("collect", r.collectBudget)
-		ck.trackBudget("codeanalysis", r.codeBudget)
 	}
 
 	if err := a.runSharded(r); err != nil {

@@ -48,8 +48,7 @@ func runAll(t *testing.T, a *Auditor) *Results {
 
 func isInfra(err error) bool {
 	return errors.Is(err, scraper.ErrUnavailable) ||
-		errors.Is(err, retry.ErrExhausted) ||
-		errors.Is(err, retry.ErrBudgetExhausted)
+		errors.Is(err, retry.ErrExhausted)
 }
 
 // TestChaosPipelineDegradesGracefully runs the full pipeline under the

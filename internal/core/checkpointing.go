@@ -22,7 +22,6 @@ import (
 	"repro/internal/honeypot"
 	"repro/internal/obs"
 	"repro/internal/obs/journal"
-	"repro/internal/retry"
 	"repro/internal/scraper"
 )
 
@@ -161,9 +160,6 @@ type ckptState struct {
 	// write has failed since, so a delta may be appended to the file.
 	based bool
 	fresh int // outcomes folded in since the last write
-	// budgets are snapshotted into BudgetLeft at every write so a
-	// resumed run restores each stage's remainder.
-	budgets map[string]*retry.Budget
 
 	ctx     context.Context // run-correlated journal context
 	cWrites *obs.Counter
@@ -177,30 +173,15 @@ func newCkptState(cfg CheckpointOptions, base *checkpoint.Snapshot, reg *obs.Reg
 	if every <= 0 {
 		every = 25
 	}
-	if base.BudgetLeft == nil {
-		base.BudgetLeft = make(map[string]int)
-	}
 	return &ckptState{
 		store:   cfg.Store,
 		every:   every,
 		snap:    base,
 		delta:   &checkpoint.Snapshot{},
-		budgets: make(map[string]*retry.Budget),
 		ctx:     context.Background(),
 		cWrites: reg.Counter("core_checkpoints_written_total"),
 		cErrors: reg.Counter("core_checkpoint_write_errors_total"),
 	}
-}
-
-// trackBudget registers a stage budget whose remainder every snapshot
-// captures.
-func (c *ckptState) trackBudget(stage string, b *retry.Budget) {
-	if c == nil || b == nil {
-		return
-	}
-	c.mu.Lock()
-	c.budgets[stage] = b
-	c.mu.Unlock()
 }
 
 // noteListed records the crawl's work plan once pagination settles.
@@ -313,19 +294,15 @@ func (c *ckptState) finish() {
 	c.mu.Unlock()
 }
 
-// writeLocked captures budget remainders and writes a checkpoint: the
-// whole snapshot when full is set or no full save of this run stands
-// yet (its first write, or the first after a failed one), otherwise
-// only the delta settled since the last write. Either runs under the
-// lock, which keeps the encoder from racing concurrent folds into the
-// accumulating maps; a delta is a batch or two of outcomes, so the
-// append is short. Caller holds c.mu.
+// writeLocked writes a checkpoint: the whole snapshot when full is set
+// or no full save of this run stands yet (its first write, or the
+// first after a failed one), otherwise only the delta settled since
+// the last write. Either runs under the lock, which keeps the encoder
+// from racing concurrent folds into the accumulating maps; a delta is
+// a batch or two of outcomes, so the append is short. Caller holds
+// c.mu.
 func (c *ckptState) writeLocked(stage string, full bool) {
 	c.fresh = 0
-	for name, b := range c.budgets {
-		c.snap.BudgetLeft[name] = b.Remaining()
-	}
-	c.delta.BudgetLeft = c.snap.BudgetLeft
 	var err error
 	if full || !c.based {
 		err = c.store.Save(c.snap)

@@ -327,7 +327,7 @@ func (a *Auditor) runSharded(r *run) error {
 		}
 	}
 
-	stats := sched.RunHooked(pctx, sched.Partition(len(items), shards), shards, fn,
+	stats := sched.Run(pctx, sched.Partition(len(items), shards), shards, fn,
 		sched.Hooks{Obs: a.obs, Tracer: r.tracer, Stage: "sharded"})
 	elapsed := time.Since(phaseStart)
 
@@ -384,7 +384,6 @@ func (a *Auditor) runSharded(r *run) error {
 	d := report.StageDegradation{
 		Retries:     retriesOf(a.listClient) - listRetries,
 		Quarantined: collectQuarantined,
-		BudgetLeft:  r.collectBudget.Remaining(),
 	}
 	if listErr != nil {
 		res.StageErrors["collect"] = listErr
@@ -425,7 +424,6 @@ func (a *Auditor) runSharded(r *run) error {
 	d = report.StageDegradation{
 		Retries:     retriesOf(a.codeClient) - codeRetries,
 		Quarantined: len(cres.Quarantined),
-		BudgetLeft:  r.codeBudget.Remaining(),
 	}
 	for _, q := range cres.Quarantined {
 		res.Quarantined = append(res.Quarantined, QuarantinedBot{Stage: "codeanalysis", BotID: q.BotID, Link: q.Link, Err: q.Err})
@@ -434,7 +432,7 @@ func (a *Auditor) runSharded(r *run) error {
 
 	// Honeypot: the runner assembles its result in sample order.
 	res.Honeypot = camp.Result()
-	d = report.StageDegradation{Quarantined: len(res.Honeypot.Quarantined), BudgetLeft: -1}
+	d = report.StageDegradation{Quarantined: len(res.Honeypot.Quarantined)}
 	for _, q := range res.Honeypot.Quarantined {
 		res.Quarantined = append(res.Quarantined, QuarantinedBot{Stage: "honeypot", BotID: q.BotID, Name: q.Name, Err: q.Err})
 	}

@@ -561,41 +561,6 @@ func TestStageWatchdogStalls(t *testing.T) {
 	}
 }
 
-// TestStageBudgetSurfaced: with StageRetryBudget set, the per-stage
-// remainders appear in Degradation and render as the trace table's
-// "Budget left" column; unbudgeted stages render "-".
-func TestStageBudgetSurfaced(t *testing.T) {
-	a, err := NewAuditor(Options{
-		Seed:    7,
-		NumBots: 40,
-		Honeypot: HoneypotOptions{
-			Sample: 3,
-			Settle: 200 * time.Millisecond,
-		},
-		Exec: ExecOptions{StageRetryBudget: 50},
-		Obs:  obs.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	res := runAll(t, a)
-	if got := res.Degradation["collect"].BudgetLeft; got < 0 || got > 50 {
-		t.Fatalf("collect BudgetLeft = %d, want 0..50", got)
-	}
-	if got := res.Degradation["codeanalysis"].BudgetLeft; got < 0 || got > 50 {
-		t.Fatalf("codeanalysis BudgetLeft = %d, want 0..50", got)
-	}
-	if got := res.Degradation["honeypot"].BudgetLeft; got != -1 {
-		t.Fatalf("honeypot BudgetLeft = %d, want -1 (unbudgeted)", got)
-	}
-	var sb strings.Builder
-	res.Report(&sb)
-	if !strings.Contains(sb.String(), "Budget left") {
-		t.Fatal("report's stage table lacks the Budget left column")
-	}
-}
-
 // TestResumePastTornDelta kills a run just after a periodic write,
 // cuts the checkpoint file in the middle of its last write, as a crash
 // during an append leaves it, and resumes. The load must drop the torn

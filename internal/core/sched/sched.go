@@ -148,18 +148,14 @@ func newShardMetrics(r *obs.Registry, shards, workers int) *shardMetrics {
 }
 
 // Run executes fn once for every item across the shards using the
-// given number of workers. Worker w is homed on shard w mod len(shards)
-// and scans the remaining shards round-robin once its own drains.
-// Run returns when every item has been executed or ctx is cancelled;
-// fn is responsible for honouring ctx promptly.
-func Run(ctx context.Context, shards [][]int, workers int, fn func(ctx context.Context, worker, item int)) *Stats {
-	return RunHooked(ctx, shards, workers, fn, Hooks{})
-}
-
-// RunHooked is Run with live observability: scheduling decisions are
-// mirrored into h.Obs metrics and h.Tracer shard-track events as they
-// happen.
-func RunHooked(ctx context.Context, shards [][]int, workers int, fn func(ctx context.Context, worker, item int), h Hooks) *Stats {
+// given number of workers (len(shards) when workers <= 0). Worker w is
+// homed on shard w mod len(shards) and scans the remaining shards
+// round-robin once its own drains. Scheduling decisions are mirrored
+// into h.Obs metrics and h.Tracer shard-track events as they happen;
+// zero Hooks publish nothing. Run returns when every item has been
+// executed or ctx is cancelled; fn is responsible for honouring ctx
+// promptly.
+func Run(ctx context.Context, shards [][]int, workers int, fn func(ctx context.Context, worker, item int), h Hooks) *Stats {
 	ns := len(shards)
 	st := &Stats{Shards: ns, Workers: workers}
 	if ns == 0 {

@@ -72,7 +72,7 @@ func TestWorkStealingFairness(t *testing.T) {
 	st := Run(context.Background(), shards, 4, func(_ context.Context, _, item int) {
 		atomic.AddInt64(&counts[item], 1)
 		time.Sleep(200 * time.Microsecond) // give thieves time to drain their own shard
-	})
+	}, Hooks{})
 	for i, c := range counts {
 		if c != 1 {
 			t.Fatalf("item %d executed %d times", i, c)
@@ -105,7 +105,7 @@ func TestRunStopsOnCancel(t *testing.T) {
 	st := Run(ctx, Partition(1000, 4), 4, func(ctx context.Context, _, _ int) {
 		atomic.AddInt64(&done, 1)
 		once.Do(cancel)
-	})
+	}, Hooks{})
 	if done == 0 {
 		t.Fatal("nothing executed")
 	}
@@ -130,7 +130,7 @@ func TestRunDeterministicCoverage(t *testing.T) {
 			mu.Lock()
 			got[item]++
 			mu.Unlock()
-		})
+		}, Hooks{})
 		if len(got) != n {
 			t.Fatalf("trial %d: %d distinct items", trial, len(got))
 		}
@@ -143,8 +143,8 @@ func TestRunDeterministicCoverage(t *testing.T) {
 }
 
 // TestRunHookedPublishesMetricsAndTraceEvents drives a skewed workload
-// through RunHooked and asserts the live registry instruments and the
-// tracer's shard-track events agree exactly with the run's Stats.
+// through Run with hooks and asserts the live registry instruments and
+// the tracer's shard-track events agree exactly with the run's Stats.
 func TestRunHookedPublishesMetricsAndTraceEvents(t *testing.T) {
 	shards := [][]int{
 		make([]int, 80), // heavily loaded
@@ -158,7 +158,7 @@ func TestRunHookedPublishesMetricsAndTraceEvents(t *testing.T) {
 	total := 84
 	reg := obs.NewRegistry()
 	tr := trace.New("run-hooked", len(shards), trace.LevelBots)
-	st := RunHooked(context.Background(), shards, 4, func(_ context.Context, _, _ int) {
+	st := Run(context.Background(), shards, 4, func(_ context.Context, _, _ int) {
 		time.Sleep(200 * time.Microsecond)
 	}, Hooks{Obs: reg, Tracer: tr, Stage: "sharded"})
 
@@ -207,11 +207,12 @@ func TestRunHookedPublishesMetricsAndTraceEvents(t *testing.T) {
 	}
 }
 
-// TestRunHookedZeroHooksMatchesRun keeps the hookless path identical.
+// TestRunHookedZeroHooksMatchesRun: Run with zero Hooks still covers
+// every item once and defaults the worker count to the shard count.
 func TestRunHookedZeroHooksMatchesRun(t *testing.T) {
 	shards := Partition(50, 4)
 	counts := make([]int64, 50)
-	st := RunHooked(context.Background(), shards, 0, func(_ context.Context, _, item int) {
+	st := Run(context.Background(), shards, 0, func(_ context.Context, _, item int) {
 		atomic.AddInt64(&counts[item], 1)
 	}, Hooks{})
 	for i, c := range counts {

@@ -1,8 +1,8 @@
 // Package faults is the chaos substrate for the pipeline: a
 // deterministic, seedable fault injector that wraps the synthetic
 // ecosystem's HTTP services (listing server, code host) as handler
-// middleware or an http.RoundTripper, and the gateway's event pump as a
-// frame-level fault policy.
+// middleware, and the gateway's event pump as a frame-level fault
+// policy.
 //
 // Every decision is a pure function of (seed, endpoint key, nth request
 // to that endpoint): the same seed and profile reproduce the same fault
@@ -14,7 +14,6 @@ package faults
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -50,10 +49,6 @@ const (
 	// KindGatewayDisconnect closes a gateway session mid-stream.
 	KindGatewayDisconnect Kind = "gw_disconnect"
 )
-
-// ErrInjectedReset is the transport error surfaced by the RoundTripper
-// for KindConnReset faults.
-var ErrInjectedReset = errors.New("faults: injected connection reset")
 
 // Rates holds per-kind fault probabilities for HTTP traffic. They are
 // walked cumulatively in declaration order, so at most one fault fires
@@ -463,84 +458,6 @@ func (c *captureWriter) WriteHeader(code int) {
 	c.code = code
 }
 func (c *captureWriter) Write(p []byte) (int, error) { return c.buf.Write(p) }
-
-// RoundTripper wraps a client-side transport with the same fault
-// vocabulary, for callers that cannot interpose on the server. next nil
-// means http.DefaultTransport.
-func (i *Injector) RoundTripper(next http.RoundTripper) http.RoundTripper {
-	if next == nil {
-		next = http.DefaultTransport
-	}
-	if i == nil {
-		return next
-	}
-	return roundTripper{inj: i, next: next}
-}
-
-type roundTripper struct {
-	inj  *Injector
-	next http.RoundTripper
-}
-
-func (t roundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
-	if exempt(req.URL.Path) {
-		return t.next.RoundTrip(req)
-	}
-	kind, _ := t.inj.httpDecide(req.Method, req.URL.RequestURI(), req.URL.Path)
-	switch kind {
-	case KindServerError:
-		body := "injected fault: server_error\n"
-		return &http.Response{
-			StatusCode:    http.StatusServiceUnavailable,
-			Status:        "503 Service Unavailable",
-			Proto:         "HTTP/1.1",
-			ProtoMajor:    1,
-			ProtoMinor:    1,
-			Header:        http.Header{"Content-Type": {"text/plain; charset=utf-8"}},
-			Body:          io.NopCloser(strings.NewReader(body)),
-			ContentLength: int64(len(body)),
-			Request:       req,
-		}, nil
-	case KindConnReset:
-		return nil, ErrInjectedReset
-	case KindTruncatedBody:
-		resp, err := t.next.RoundTrip(req)
-		if err != nil {
-			return resp, err
-		}
-		data, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil || len(data) < 2 {
-			return nil, ErrInjectedReset
-		}
-		resp.Body = io.NopCloser(io.MultiReader(
-			bytes.NewReader(data[:len(data)/2]),
-			errReader{io.ErrUnexpectedEOF},
-		))
-		resp.ContentLength = int64(len(data))
-		return resp, nil
-	case KindStall:
-		select {
-		case <-time.After(t.inj.profile().StallFor):
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		}
-		return t.next.RoundTrip(req)
-	case KindLatency:
-		select {
-		case <-time.After(t.inj.profile().ExtraLatency):
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		}
-		return t.next.RoundTrip(req)
-	default:
-		return t.next.RoundTrip(req)
-	}
-}
-
-type errReader struct{ err error }
-
-func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // Count reports the number of faults fired so far.
 func (i *Injector) Count() int {

@@ -3,7 +3,6 @@ package faults
 import (
 	"bytes"
 	"context"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -153,44 +152,6 @@ func TestMiddlewareExemptPaths(t *testing.T) {
 	}
 	if inj.Count() != 0 {
 		t.Fatalf("exempt traffic was recorded: Count = %d", inj.Count())
-	}
-}
-
-func TestRoundTripperFaults(t *testing.T) {
-	srv := httptest.NewServer(okHandler(strings.Repeat("y", 1024)))
-	defer srv.Close()
-
-	// server_error: synthesized 503, no request reaches the server.
-	inj := New(Profile{Default: Rates{ServerError: 1}}, 1, Options{Obs: obs.NewRegistry()})
-	client := &http.Client{Transport: inj.RoundTripper(nil)}
-	resp, err := client.Get(srv.URL + "/x")
-	if err != nil {
-		t.Fatalf("get: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", resp.StatusCode)
-	}
-
-	// conn_reset: transport error carrying the sentinel.
-	inj = New(Profile{Default: Rates{ConnReset: 1}}, 1, Options{Obs: obs.NewRegistry()})
-	client = &http.Client{Transport: inj.RoundTripper(nil)}
-	_, err = client.Get(srv.URL + "/x")
-	if err == nil || !errors.Is(err, ErrInjectedReset) {
-		t.Fatalf("err = %v, want ErrInjectedReset", err)
-	}
-
-	// truncated_body: 200 whose body read dies halfway.
-	inj = New(Profile{Default: Rates{TruncatedBody: 1}}, 1, Options{Obs: obs.NewRegistry()})
-	client = &http.Client{Transport: inj.RoundTripper(nil)}
-	resp, err = client.Get(srv.URL + "/x")
-	if err != nil {
-		t.Fatalf("get: %v", err)
-	}
-	_, err = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("body read err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 

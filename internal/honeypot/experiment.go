@@ -98,7 +98,8 @@ type Env struct {
 // Run executes one isolated honeypot experiment for a subject,
 // following §4.2: create a private guild named after the chatbot, add
 // personas, install the bot (solving the captcha), post a believable
-// conversation, plant the four tokens, and watch for triggers.
+// conversation, plant the four tokens, and watch for triggers. The
+// guild is deleted when the experiment returns.
 func Run(env Env, cfg Config, sub Subject) (*Verdict, error) {
 	return RunContext(context.Background(), env, cfg, sub)
 }
@@ -133,6 +134,11 @@ func RunContext(ctx context.Context, env Env, cfg Config, sub Subject) (*Verdict
 	if err != nil {
 		return nil, fmt.Errorf("honeypot: create guild: %w", err)
 	}
+	// Tear the guild down when the experiment returns, failed or not:
+	// deferred first, this runs after the session closes and after
+	// verdictFor has read the channel and the audit log, so a platform
+	// that outlives the campaign keeps none of its guilds.
+	defer p.DeleteGuild(operator.ID, guild.ID)
 	var general *platform.Channel
 	for _, ch := range guild.Channels {
 		general = ch

@@ -2,6 +2,7 @@ package honeypot
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -361,5 +362,56 @@ func TestResponderAnswersBackToBackCommands(t *testing.T) {
 			t.Fatalf("%d of 2 commands answered within %v (RequestTimeout %v)", replies, timeout/2, timeout)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// guildSpy is an idle bot that records the guilds its session saw at
+// connect and may cancel the experiment once it has started.
+type guildSpy struct {
+	IdleBot
+	guilds []string
+	cancel context.CancelFunc
+}
+
+func (g *guildSpy) Start(sess *botsdk.Session, _ BotEnv) {
+	g.guilds = sess.InitialGuilds()
+	if g.cancel != nil {
+		g.cancel()
+	}
+}
+
+// TestExperimentDeletesItsGuild: an experiment's guild is gone once Run
+// returns, whether the experiment settled or was cancelled mid-run.
+func TestExperimentDeletesItsGuild(t *testing.T) {
+	env := newEnv(t)
+	cfg := testCfg()
+	cfg.Settle = 200 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		spy  *guildSpy
+		ctx  context.Context
+	}{
+		{"Settled", &guildSpy{}, context.Background()},
+		{"Cancelled", &guildSpy{cancel: cancel}, ctx},
+	} {
+		_, err := RunContext(tc.ctx, env, cfg, Subject{ListingID: 20, Name: tc.name, Perms: snoopPerms, Runner: tc.spy})
+		if tc.spy.cancel == nil && err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.spy.cancel != nil && err == nil {
+			t.Fatalf("%s: the cancelled experiment returned no error", tc.name)
+		}
+		if len(tc.spy.guilds) != 1 {
+			t.Fatalf("%s: the bot saw guilds %v, want its one experiment guild", tc.name, tc.spy.guilds)
+		}
+		id, err := platform.ParseID(tc.spy.guilds[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := env.Platform.Guild(id); !errors.Is(err, platform.ErrNotFound) {
+			t.Errorf("%s: guild %v after Run: err = %v, want ErrNotFound", tc.name, id, err)
+		}
 	}
 }

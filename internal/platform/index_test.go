@@ -11,10 +11,11 @@ import (
 	"repro/internal/permissions"
 )
 
-// TestIndexesMatchScan drives random sequences of guild creation,
-// joins, invite redemptions, leaves, kicks, bans, bot installs and
-// uninstalls, and channel creation. After every step, GuildsOf and the
-// channel lookup must agree with a scan of every guild.
+// TestIndexesMatchScan drives random sequences of guild creation and
+// deletion, joins, invite redemptions, leaves, kicks, bans, bot
+// installs and uninstalls, and channel and webhook creation. After
+// every step, GuildsOf and the channel lookup must agree with a scan of
+// every guild, and no invite or webhook may point at a deleted guild.
 func TestIndexesMatchScan(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -53,6 +54,16 @@ func runIndexSequence(t *testing.T, seed int64, steps int) {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		return ids[rng.Intn(len(ids))]
 	}
+	randChannel := func(g *Guild) ID {
+		p.mu.RLock()
+		defer p.mu.RUnlock()
+		ids := make([]ID, 0, len(g.Channels))
+		for id := range g.Channels {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		return ids[rng.Intn(len(ids))]
+	}
 
 	for step := 0; step < steps; step++ {
 		if len(guilds) == 0 || rng.Intn(12) == 0 {
@@ -69,7 +80,7 @@ func runIndexSequence(t *testing.T, seed int64, steps int) {
 			continue
 		}
 		g := randGuild()
-		switch rng.Intn(9) {
+		switch rng.Intn(11) {
 		case 0: // a new account, verified or not
 			u := p.CreateUser(fmt.Sprintf("u%d", step))
 			if rng.Intn(2) == 0 {
@@ -96,6 +107,21 @@ func runIndexSequence(t *testing.T, seed int64, steps int) {
 			p.UninstallBot(g.OwnerID, g.ID, pick(bots))
 		case 8:
 			p.CreateChannel(g.OwnerID, g.ID, fmt.Sprintf("c%d", step), ChannelKind(rng.Intn(2)))
+		case 9:
+			p.CreateWebhook(g.OwnerID, randChannel(g), fmt.Sprintf("w%d", step))
+		case 10:
+			if rng.Intn(2) == 0 {
+				if err := p.DeleteGuild(g.OwnerID, g.ID); err != nil {
+					t.Fatalf("step %d: DeleteGuild: %v", step, err)
+				}
+				for i := range guilds {
+					if guilds[i] == g {
+						guilds = append(guilds[:i], guilds[i+1:]...)
+						break
+					}
+				}
+				delete(invites, g.ID)
+			}
 		}
 		checkIndexes(t, p, step)
 		if t.Failed() {
@@ -123,6 +149,16 @@ func checkIndexes(t *testing.T, p *Platform, step int) {
 		users = append(users, uid)
 	}
 	indexed, members := len(p.channels), len(p.memberOf)
+	for code, gid := range p.invites {
+		if p.guilds[gid] == nil {
+			t.Errorf("step %d: invite %s points at deleted guild %v", step, code, gid)
+		}
+	}
+	for _, wh := range p.webhooks {
+		if _, _, err := p.channelLocked(wh.ChannelID); p.guilds[wh.GuildID] == nil || err != nil {
+			t.Errorf("step %d: webhook %v outlives its guild %v or channel %v", step, wh.ID, wh.GuildID, wh.ChannelID)
+		}
+	}
 	p.mu.RUnlock()
 
 	for _, uid := range users {

@@ -74,10 +74,11 @@ type Platform struct {
 	audit    []AuditEntry
 
 	// channels and memberOf index what would otherwise take a scan of
-	// every guild: a channel by its ID (channels are never removed),
-	// and the guilds each user belongs to. They change only with
-	// Guild.Channels and Guild.Members, through addChannelLocked,
-	// addMemberLocked and removeMemberLocked.
+	// every guild: a channel by its ID, and the guilds each user
+	// belongs to. They change only with Guild.Channels and
+	// Guild.Members, through addChannelLocked, addMemberLocked and
+	// removeMemberLocked, and when DeleteGuild drops a guild's
+	// channels.
 	channels map[ID]*Channel
 	memberOf map[ID]map[ID]struct{} // user ID -> guild IDs
 
@@ -272,6 +273,43 @@ func (p *Platform) Guild(id ID) (*Guild, error) {
 		return nil, ErrNotFound
 	}
 	return g, nil
+}
+
+// DeleteGuild removes a guild with everything that hangs off it: its
+// channels and their messages, its memberships, the invite codes and
+// webhooks that point into it. Only the owner may delete a guild. The
+// audit log keeps the guild's entries, closed by a guild.delete entry,
+// but AuditLog answers ErrNotFound for a deleted guild like any other
+// lookup by its ID.
+func (p *Platform) DeleteGuild(actorID, guildID ID) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	g, ok := p.guilds[guildID]
+	if !ok {
+		return ErrNotFound
+	}
+	if g.OwnerID != actorID {
+		return ErrPermissionDenied
+	}
+	for id := range g.Channels {
+		delete(p.channels, id)
+	}
+	for uid := range g.Members {
+		p.removeMemberLocked(g, uid)
+	}
+	for code, gid := range p.invites {
+		if gid == guildID {
+			delete(p.invites, code)
+		}
+	}
+	for tok, wh := range p.webhooks {
+		if wh.GuildID == guildID {
+			delete(p.webhooks, tok)
+		}
+	}
+	delete(p.guilds, guildID)
+	p.auditLocked(guildID, actorID, "guild.delete", guildID.String(), g.Name)
+	return nil
 }
 
 // GuildsOf lists the IDs of every guild the user belongs to, sorted.

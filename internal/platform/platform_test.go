@@ -251,6 +251,46 @@ func TestLeaveGuild(t *testing.T) {
 	}
 }
 
+// TestDeleteGuildOwnerOnly: only the owner may delete a guild; a
+// refused delete leaves it whole, and a deleted guild, its channels
+// and its memberships are gone, with a guild.delete audit entry left.
+func TestDeleteGuildOwnerOnly(t *testing.T) {
+	p, owner, g, general := fixture(t)
+	u := addUser(t, p, g, "alice")
+	outsider := p.CreateUser("mallory")
+	for _, actor := range []ID{u.ID, outsider.ID} {
+		if err := p.DeleteGuild(actor, g.ID); !errors.Is(err, ErrPermissionDenied) {
+			t.Fatalf("delete by non-owner %v: err = %v, want ErrPermissionDenied", actor, err)
+		}
+	}
+	if _, err := p.Guild(g.ID); err != nil {
+		t.Fatalf("a refused delete removed the guild: %v", err)
+	}
+	if _, err := p.SendMessage(u.ID, general.ID, "still here"); err != nil {
+		t.Fatalf("a refused delete broke the channel: %v", err)
+	}
+
+	if err := p.DeleteGuild(owner.ID, g.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Guild(g.ID); !errors.Is(err, ErrNotFound) {
+		t.Errorf("deleted guild lookup err = %v, want ErrNotFound", err)
+	}
+	if _, err := p.ChannelMessages(general.ID); !errors.Is(err, ErrNotFound) {
+		t.Errorf("deleted channel lookup err = %v, want ErrNotFound", err)
+	}
+	if gs := p.GuildsOf(u.ID); len(gs) != 0 {
+		t.Errorf("member still belongs to %v", gs)
+	}
+	if err := p.DeleteGuild(owner.ID, g.ID); !errors.Is(err, ErrNotFound) {
+		t.Errorf("double delete err = %v, want ErrNotFound", err)
+	}
+	last := p.audit[len(p.audit)-1]
+	if last.Action != "guild.delete" || last.GuildID != g.ID || last.ActorID != owner.ID {
+		t.Errorf("last audit entry = %+v, want the owner's guild.delete", last)
+	}
+}
+
 func TestInstallBotConsent(t *testing.T) {
 	p, owner, g, _ := fixture(t)
 	bot, _ := p.RegisterBot(owner.ID, "moder")

@@ -273,10 +273,6 @@ type StageDegradation struct {
 	Retries     int
 	Quarantined int
 	Errors      int
-	// BudgetLeft is the stage's remaining shared retry budget when the
-	// stage finished; -1 means the stage ran unbudgeted (historical
-	// per-fetch pools) and renders as "-".
-	BudgetLeft int
 }
 
 // StageTimings renders the run's stage table from the tracer's
@@ -284,12 +280,12 @@ type StageDegradation struct {
 // wall-clock time, Busy the summed time of its bot-stage spans, Items
 // their count, and Mean Busy per item. The sharded executor's stages
 // share one wall-clock window, so their Wall columns overlap while Busy
-// stays per stage. Retries, Quarantined and Budget left come from the
-// stage-name-keyed degradation map; stages missing from it render "-".
+// stays per stage. Retries and Quarantined come from the stage-name-keyed
+// degradation map; stages missing from it render "-".
 func StageTimings(w io.Writer, rows []trace.StageTiming, deg map[string]StageDegradation) {
 	t := &Table{
 		Title:   "Stage timings",
-		Headers: []string{"Stage", "Wall", "Busy", "Items", "Mean", "Retries", "Quarantined", "Budget left"},
+		Headers: []string{"Stage", "Wall", "Busy", "Items", "Mean", "Retries", "Quarantined"},
 	}
 	for _, st := range rows {
 		busy, items, mean := "-", "-", "-"
@@ -297,14 +293,11 @@ func StageTimings(w io.Writer, rows []trace.StageTiming, deg map[string]StageDeg
 			busyMS := float64(st.BusyNS) / 1e6
 			busy, items, mean = fmtMS(busyMS), fmt.Sprintf("%d", st.Items), fmtMS(busyMS/float64(st.Items))
 		}
-		retries, quarantined, budget := "-", "-", "-"
+		retries, quarantined := "-", "-"
 		if d, ok := deg[st.Stage]; ok {
 			retries, quarantined = fmt.Sprintf("%d", d.Retries), fmt.Sprintf("%d", d.Quarantined)
-			if d.BudgetLeft >= 0 {
-				budget = fmt.Sprintf("%d", d.BudgetLeft)
-			}
 		}
-		t.AddRow(st.Stage, fmtMS(float64(st.WallNS)/1e6), busy, items, mean, retries, quarantined, budget)
+		t.AddRow(st.Stage, fmtMS(float64(st.WallNS)/1e6), busy, items, mean, retries, quarantined)
 	}
 	t.Render(w)
 }

@@ -48,7 +48,7 @@ func TestStageTimingsPadByRunes(t *testing.T) {
 		{Stage: "traceability", WallNS: 1_800_000, BusyNS: 1_600_000, Items: 284},
 		{Stage: "vetting", WallNS: 900_000},
 	}
-	deg := map[string]StageDegradation{"collect": {Retries: 3, Quarantined: 1, BudgetLeft: 7}}
+	deg := map[string]StageDegradation{"collect": {Retries: 3, Quarantined: 1}}
 	var buf bytes.Buffer
 	StageTimings(&buf, rows, deg)
 	out := buf.String()
@@ -65,7 +65,7 @@ func TestStageTimingsPadByRunes(t *testing.T) {
 			t.Errorf("row %q is %d characters wide, want %d", ln, n, w)
 		}
 	}
-	for _, want := range []string{"| collect      | 1500.0ms | 12.00s ", "| 400   | 30.0ms ", "| 3       | 1           | 7 ", "| vetting      | 900µs    | -  "} {
+	for _, want := range []string{"| collect      | 1500.0ms | 12.00s ", "| 400   | 30.0ms ", "| 3       | 1           |", "| vetting      | 900µs    | -  "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stage table missing %q:\n%s", want, out)
 		}

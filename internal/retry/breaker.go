@@ -1,6 +1,6 @@
 // Circuit breakers: when an endpoint class is persistently down,
 // retrying each request individually burns the whole backoff schedule
-// and the stage's retry budget on work that cannot succeed. A Breaker
+// on work that cannot succeed. A Breaker
 // watches the recent outcome window per key (host + endpoint class)
 // and, past a failure-rate threshold, short-circuits further attempts
 // in microseconds until a cooldown elapses; a half-open probe then

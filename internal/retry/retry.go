@@ -1,6 +1,6 @@
 // Package retry is the pipeline's generic transient-failure policy:
-// jittered exponential backoff with per-stage retry budgets,
-// Retry-After honoring, and context-aware waits. It replaces the
+// jittered exponential backoff bounded by a per-operation attempt
+// limit, Retry-After honoring, and context-aware waits. It replaces the
 // bespoke throttle loops that grew inside individual fetchers, so every
 // stage degrades the same way under the same pressure — and so chaos
 // tests can reason about retry behaviour in one place.
@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -40,10 +39,6 @@ type Policy struct {
 	// RetryAfterCap clamps server-specified Retry-After hints so a
 	// hostile or sluggish server cannot stall a stage (default MaxDelay).
 	RetryAfterCap time.Duration
-	// Budget, when set, is a shared pool of retries for a whole stage:
-	// every retry (not first attempts) consumes one token, and an empty
-	// budget stops retrying with ErrBudgetExhausted.
-	Budget *Budget
 }
 
 func (p Policy) withDefaults() Policy {
@@ -65,13 +60,8 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// Sentinel errors Do wraps into its failures.
-var (
-	// ErrExhausted marks a Do that used every attempt without success.
-	ErrExhausted = errors.New("retry: attempts exhausted")
-	// ErrBudgetExhausted marks a Do stopped by an empty shared budget.
-	ErrBudgetExhausted = errors.New("retry: budget exhausted")
-)
+// ErrExhausted marks a Do that used every attempt without success.
+var ErrExhausted = errors.New("retry: attempts exhausted")
 
 // PermanentError wraps an error that must not be retried.
 type PermanentError struct{ Err error }
@@ -139,41 +129,6 @@ func ParseRetryAfter(v string) (time.Duration, bool) {
 	return 0, false
 }
 
-// Budget is a shared, concurrency-safe pool of retries for one pipeline
-// stage. A nil *Budget is unlimited.
-type Budget struct {
-	mu   sync.Mutex
-	left int
-}
-
-// NewBudget returns a budget allowing n retries in total.
-func NewBudget(n int) *Budget { return &Budget{left: n} }
-
-// Take consumes one retry token, reporting false when the budget is
-// spent. A nil budget always grants.
-func (b *Budget) Take() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.left <= 0 {
-		return false
-	}
-	b.left--
-	return true
-}
-
-// Remaining reports the unspent retry tokens.
-func (b *Budget) Remaining() int {
-	if b == nil {
-		return -1
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.left
-}
-
 // Do runs fn until it succeeds, returns a permanent error, exhausts the
 // policy, or ctx is cancelled. Context errors — from ctx itself or
 // surfaced by fn — are returned verbatim and never retried.
@@ -199,9 +154,6 @@ func Do(ctx context.Context, p Policy, fn func(context.Context) error) error {
 		lastErr = err
 		if attempt >= p.MaxAttempts {
 			return fmt.Errorf("%w after %d attempts: %w", ErrExhausted, attempt, lastErr)
-		}
-		if !p.Budget.Take() {
-			return fmt.Errorf("%w after %d attempts: %w", ErrBudgetExhausted, attempt, lastErr)
 		}
 		wait := sched.next()
 		if hint, ok := RetryAfterHint(err); ok {

@@ -71,47 +71,6 @@ func TestDoPermanentStopsImmediately(t *testing.T) {
 	}
 }
 
-func TestBudgetExhaustion(t *testing.T) {
-	// A shared budget of 3 retries across two sequential operations:
-	// the first Do consumes all three, the second gets none.
-	budget := NewBudget(3)
-	p := fastPolicy()
-	p.MaxAttempts = 10
-	p.Budget = budget
-
-	err := Do(context.Background(), p, func(context.Context) error { return errBoom })
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("first op err = %v, want ErrBudgetExhausted", err)
-	}
-	if got := budget.Remaining(); got != 0 {
-		t.Fatalf("Remaining = %d, want 0", got)
-	}
-
-	calls := 0
-	err = Do(context.Background(), p, func(context.Context) error {
-		calls++
-		return errBoom
-	})
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("second op err = %v, want ErrBudgetExhausted", err)
-	}
-	if calls != 1 {
-		t.Fatalf("second op calls = %d, want 1 (no retries left)", calls)
-	}
-}
-
-func TestNilBudgetUnlimited(t *testing.T) {
-	var b *Budget
-	for i := 0; i < 100; i++ {
-		if !b.Take() {
-			t.Fatal("nil budget must always grant")
-		}
-	}
-	if b.Remaining() != -1 {
-		t.Fatal("nil budget Remaining sentinel changed")
-	}
-}
-
 func TestParseRetryAfter(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -268,7 +227,7 @@ func TestZeroJitterExactSchedule(t *testing.T) {
 // whose first attempt succeeds never seeds one.
 func TestFirstTrySuccessDoesNotAllocate(t *testing.T) {
 	ctx := context.Background()
-	p := Policy{MaxAttempts: 64, Jitter: 0.25, Seed: 42, Budget: NewBudget(60)}
+	p := Policy{MaxAttempts: 61, Jitter: 0.25, Seed: 42}
 	ok := func(context.Context) error { return nil }
 	if n := testing.AllocsPerRun(100, func() { Do(ctx, p, ok) }); n != 0 {
 		t.Errorf("Do allocs = %v, want 0", n)

@@ -22,9 +22,10 @@ import (
 // Client is a polite, captcha-capable HTTP fetcher for one target site.
 // It self-limits its request rate (§3: "we limit the rate at which we
 // generate our requests"), mimics a browser user agent, and reacts to
-// challenge pages by calling the solver and retrying. Every wait is
-// cancellation-aware: pass a context via the *Context methods to abort
-// a crawl mid-backoff.
+// challenge pages by calling the solver and retrying. Each fetch makes
+// at most fetchAttempts tries, of which at most transportRetries may
+// retry a transport fault. Every wait is cancellation-aware: pass a
+// context via the *Context methods to abort a crawl mid-backoff.
 type Client struct {
 	base    *url.URL
 	http    *http.Client
@@ -34,13 +35,6 @@ type Client struct {
 	// MinInterval between requests; zero disables self-limiting.
 	minInterval time.Duration
 
-	// retryBudget, when set, is shared across every fetch this client
-	// makes (per-stage budget); nil gives each fetch its own pool.
-	// Guarded by mu so a resumed run can restore a remainder.
-	retryBudget *retry.Budget
-	// transportRetries bounds transient-fault retries (5xx, resets,
-	// truncated bodies) per fetch.
-	transportRetries int
 	// breakers, when set, short-circuits fetches against endpoint
 	// classes that are persistently failing; nil disables the circuit.
 	breakers *retry.BreakerSet
@@ -76,13 +70,6 @@ type ClientConfig struct {
 	// Obs receives the client's counters and fetch-latency histogram;
 	// nil uses the process-default registry.
 	Obs *obs.Registry
-	// RetryBudget shares one retry pool across every fetch (a per-stage
-	// budget); nil gives each fetch its own pool of 60 retries.
-	RetryBudget *retry.Budget
-	// TransportRetries bounds per-fetch retries of transient transport
-	// faults — 5xx responses, connection resets, truncated bodies
-	// (default 3; throttling has its own budget).
-	TransportRetries int
 	// Breakers, when set, wraps every fetch in a per-endpoint-class
 	// circuit breaker: once a class (host + first path segment, e.g.
 	// "/bot") fails persistently, further fetches fail fast with
@@ -125,8 +112,7 @@ var errStaleChallenge = errors.New("scraper: stale captcha challenge")
 // to a definitive response about the resource (gone, forbidden, slow).
 func isInfraErr(err error) bool {
 	return errors.Is(err, ErrUnavailable) ||
-		errors.Is(err, retry.ErrExhausted) ||
-		errors.Is(err, retry.ErrBudgetExhausted)
+		errors.Is(err, retry.ErrExhausted)
 }
 
 // maxIdleConnsPerHost sizes each client's keep-alive pool. The
@@ -136,6 +122,15 @@ func isInfraErr(err error) bool {
 // fetchers the surplus connections churn as before.
 const maxIdleConnsPerHost = 64
 
+// Per-fetch retry limits. A fetch makes at most fetchAttempts tries in
+// all, throttled and captcha-challenged ones included; at most
+// transportRetries of its retries may answer a transient transport
+// fault (5xx, reset, truncated body) before it fails as ErrUnavailable.
+const (
+	fetchAttempts    = 61
+	transportRetries = 3
+)
+
 // NewClient builds a client from a ClientConfig.
 func NewClient(cfg ClientConfig) (*Client, error) {
 	u, err := url.Parse(cfg.BaseURL)
@@ -143,28 +138,23 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("scraper: bad base url: %w", err)
 	}
 	reg := obs.Or(cfg.Obs)
-	if cfg.TransportRetries <= 0 {
-		cfg.TransportRetries = 3
-	}
 	transport := http.DefaultTransport.(*http.Transport).Clone()
 	transport.MaxIdleConnsPerHost = maxIdleConnsPerHost
 	return &Client{
-		base:             u,
-		http:             &http.Client{Timeout: cfg.Timeout, Transport: transport},
-		solver:           cfg.Solver,
-		minInterval:      cfg.MinInterval,
-		retryBudget:      cfg.RetryBudget,
-		transportRetries: cfg.TransportRetries,
-		breakers:         cfg.Breakers,
-		session:          fmt.Sprintf("s%d", time.Now().UnixNano()),
-		cRequests:        reg.Counter("scraper_requests_total"),
-		cThrottle:        reg.Counter("scraper_throttled_total"),
-		cCaptchas:        reg.Counter("scraper_captcha_solves_total"),
-		cTimeouts:        reg.Counter("scraper_timeouts_total"),
-		cRetries:         reg.Counter("scraper_retries_total"),
-		cTransient:       reg.Counter("scraper_transient_retries_total"),
-		cQuarantined:     reg.Counter("scraper_bots_quarantined_total"),
-		hFetch:           reg.Histogram("scraper_fetch_seconds"),
+		base:         u,
+		http:         &http.Client{Timeout: cfg.Timeout, Transport: transport},
+		solver:       cfg.Solver,
+		minInterval:  cfg.MinInterval,
+		breakers:     cfg.Breakers,
+		session:      fmt.Sprintf("s%d", time.Now().UnixNano()),
+		cRequests:    reg.Counter("scraper_requests_total"),
+		cThrottle:    reg.Counter("scraper_throttled_total"),
+		cCaptchas:    reg.Counter("scraper_captcha_solves_total"),
+		cTimeouts:    reg.Counter("scraper_timeouts_total"),
+		cRetries:     reg.Counter("scraper_retries_total"),
+		cTransient:   reg.Counter("scraper_transient_retries_total"),
+		cQuarantined: reg.Counter("scraper_bots_quarantined_total"),
+		hFetch:       reg.Histogram("scraper_fetch_seconds"),
 	}, nil
 }
 
@@ -173,16 +163,6 @@ func (c *Client) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// SetRetryBudget swaps the client's shared retry budget. A resumed run
-// uses it to restore the remainder a checkpoint recorded, so a stage
-// that had nearly exhausted its budget before the crash cannot respend
-// it after resume.
-func (c *Client) SetRetryBudget(b *retry.Budget) {
-	c.mu.Lock()
-	c.retryBudget = b
-	c.mu.Unlock()
 }
 
 // endpointClass maps a ref to its breaker key: host plus the first
@@ -235,9 +215,9 @@ func (c *Client) GetContext(ctx context.Context, ref string) (*htmlparse.Node, e
 }
 
 // Retryable-failure classes GetRawContext distinguishes. Throttling
-// (429) is the site pacing us and draws on the generous retry budget;
-// transient transport faults (5xx, resets, truncated bodies) are
-// network weather and get a small per-fetch allowance; captcha
+// (429) is the site pacing us and may use every one of the fetch's
+// attempts; transient transport faults (5xx, resets, truncated bodies)
+// are network weather and get a small per-fetch allowance; captcha
 // challenges are handled by the solver and merely repeat the request.
 var errThrottled = errors.New("scraper: throttled (429)")
 
@@ -257,39 +237,31 @@ func (e *captchaChallenge) Error() string { return "scraper: captcha challenge" 
 // reproducible. Retry-After hints are honored but clamped — the
 // synthetic site asks for a full second, which no polite-but-busy
 // crawler grants in full.
-func (c *Client) fetchPolicy(ref string, budget *retry.Budget) retry.Policy {
+func fetchPolicy(ref string) retry.Policy {
 	h := fnv.New64a()
 	io.WriteString(h, ref)
 	return retry.Policy{
-		MaxAttempts:   64, // budget and transport allowance bind first
+		MaxAttempts:   fetchAttempts,
 		BaseDelay:     40 * time.Millisecond,
 		MaxDelay:      800 * time.Millisecond,
 		Multiplier:    2,
 		Jitter:        0.25,
 		Seed:          int64(h.Sum64()),
 		RetryAfterCap: 120 * time.Millisecond,
-		Budget:        budget,
 	}
 }
 
 // GetRawContext is GetRaw with cancellation: every retry backoff and
 // the request itself abort as soon as ctx is done. Retries run through
 // internal/retry — jittered exponential backoff with Retry-After
-// honoring — with throttling drawing on the client's (or per-fetch)
-// retry budget and transient transport faults on a small per-fetch
-// allowance.
+// honoring — within fetchAttempts tries, of which transient transport
+// faults may retry at most transportRetries.
 func (c *Client) GetRawContext(ctx context.Context, ref string) (string, error) {
-	c.mu.Lock()
-	budget := c.retryBudget
-	c.mu.Unlock()
-	if budget == nil {
-		budget = retry.NewBudget(60)
-	}
 	br := c.breakers.For(c.endpointClass(ref))
-	transientLeft := c.transportRetries
+	transientLeft := transportRetries
 	attempts := 0
 	var body string
-	err := retry.Do(ctx, c.fetchPolicy(ref, budget), func(ctx context.Context) error {
+	err := retry.Do(ctx, fetchPolicy(ref), func(ctx context.Context) error {
 		attempts++
 		if berr := br.Allow(); berr != nil {
 			// The circuit for this endpoint class is open: fail fast as

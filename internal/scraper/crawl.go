@@ -66,8 +66,6 @@ type Config struct {
 	// Retries re-attempts detail pages whose expected elements are
 	// missing (§3 iv: react to NoSuchElementException). Default 2.
 	Retries int
-	// MaxPages bounds listing pagination; 0 means all pages.
-	MaxPages int
 	// Strict restores the pre-quarantine behavior: the first failed bot
 	// aborts the whole crawl with an error instead of being skipped.
 	Strict bool
@@ -102,7 +100,7 @@ func NewCrawler(c *Client, cfg Config) *Crawler {
 // carries a lenient-mode pagination failure (the listing is partial);
 // err is fatal (strict mode or cancellation).
 func (cr *Crawler) List(ctx context.Context) (ids []int, listErr, err error) {
-	ids, listErr = ListBotIDsContext(ctx, cr.Client, cr.Cfg.MaxPages)
+	ids, listErr = ListBotIDsContext(ctx, cr.Client)
 	if listErr != nil {
 		if cr.Cfg.Strict || errors.Is(listErr, context.Canceled) || errors.Is(listErr, context.DeadlineExceeded) {
 			return nil, nil, listErr
@@ -151,12 +149,9 @@ func (cr *Crawler) Settle(ctx context.Context, id int) (SettledBot, error) {
 // in listing order. On a page-fetch failure it returns the IDs
 // discovered so far alongside the error, so a degradation-aware caller
 // can crawl the partial listing.
-func ListBotIDsContext(ctx context.Context, c *Client, maxPages int) ([]int, error) {
+func ListBotIDsContext(ctx context.Context, c *Client) ([]int, error) {
 	var ids []int
 	for page := 1; ; page++ {
-		if maxPages > 0 && page > maxPages {
-			break
-		}
 		doc, err := getPage(ctx, c, fmt.Sprintf("/bots?page=%d", page))
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

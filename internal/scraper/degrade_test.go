@@ -271,7 +271,7 @@ func TestStalledListingPageIsRepeated(t *testing.T) {
 	defer srv.Close()
 
 	c := newTestClient(t, srv.URL, nil)
-	ids, err := ListBotIDsContext(context.Background(), c, 0)
+	ids, err := ListBotIDsContext(context.Background(), c)
 	if err != nil {
 		t.Fatalf("ListBotIDsContext: %v (listed %v)", err, ids)
 	}

@@ -41,9 +41,6 @@ func TestClientConfigWiring(t *testing.T) {
 	if c.solver != Solver(solver) {
 		t.Errorf("solver not passed through: %v", c.solver)
 	}
-	if c.transportRetries != 3 {
-		t.Errorf("transport retries default = %d, want 3", c.transportRetries)
-	}
 
 	// Omitting Obs routes metrics to the default registry: two clients
 	// built that way must share the very same counter handles.

@@ -84,7 +84,7 @@ func newTestClient(t *testing.T, base string, solver Solver) *Client {
 func TestListBotIDsPagination(t *testing.T) {
 	srv, eco := startSite(t, 60, listing.AntiScrape{})
 	c := newTestClient(t, srv.BaseURL(), nil)
-	ids, err := ListBotIDsContext(context.Background(), c, 0)
+	ids, err := ListBotIDsContext(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +97,6 @@ func TestListBotIDsPagination(t *testing.T) {
 			t.Fatalf("duplicate id %d", id)
 		}
 		seen[id] = true
-	}
-	// MaxPages bound is respected.
-	capped, err := ListBotIDsContext(context.Background(), c, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(capped) != listing.PageSize {
-		t.Errorf("capped crawl = %d ids, want %d", len(capped), listing.PageSize)
 	}
 }
 

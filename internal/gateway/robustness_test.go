@@ -97,26 +97,6 @@ func TestSlowIdentifyTimesOut(t *testing.T) {
 	}
 }
 
-func TestUnknownOpAfterIdentify(t *testing.T) {
-	r := newRig(t, permissions.ViewChannel)
-	conn := dialRaw(t, r.srv.Addr())
-	fmt.Fprintf(conn, `{"op":"identify","token":%q}`+"\n", r.bot.Token)
-	br := bufio.NewReader(conn)
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := br.ReadString('\n'); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprint(conn, `{"op":"mystery"}`+"\n")
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	line, err := br.ReadString('\n')
-	if err != nil {
-		t.Fatalf("connection dropped on unknown op: %v", err)
-	}
-	if line == "" || !contains(line, "unexpected op") {
-		t.Errorf("response = %q", line)
-	}
-}
-
 // FuzzFrameDecode writes arbitrary bytes to a fresh raw connection,
 // either as its first bytes or after a valid identify line, closes the
 // connection's write side and reads the server's replies until it
@@ -147,15 +127,4 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("healthy session broken by fuzzed peer: %v", err)
 		}
 	})
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (func() bool {
-		for i := 0; i+len(sub) <= len(s); i++ {
-			if s[i:i+len(sub)] == sub {
-				return true
-			}
-		}
-		return false
-	})()
 }

@@ -277,7 +277,7 @@ func (s *Server) releaseAdmit() {
 
 // shed refuses a connection with an explicit shedding frame so clients
 // can distinguish overload (back off and retry) from rejection.
-func (s *Server) shed(conn net.Conn, enc *json.Encoder, reason string, retryAfter, writeTimeout time.Duration) {
+func (s *Server) shed(conn net.Conn, reason string, retryAfter, writeTimeout time.Duration) {
 	s.cShed.Inc()
 	if c, ok := s.cShedBy[reason]; ok {
 		c.Inc()
@@ -291,7 +291,7 @@ func (s *Server) shed(conn net.Conn, enc *json.Encoder, reason string, retryAfte
 			"retry_after_ms": retryAfter.Milliseconds(),
 		},
 	})
-	writeFrame(conn, enc, Frame{
+	writeFrame(conn, Frame{
 		Op: OpError, Err: ErrShedding, RetryAfterMS: retryAfter.Milliseconds(),
 	}, writeTimeout)
 }
@@ -322,16 +322,15 @@ func (s *Server) tenantIdentBucket(owner platform.ID) *bucket {
 	return b
 }
 
-// writeFrame encodes one frame under a write deadline — the only way
-// any byte ever leaves the gateway. Pre-session handshake errors and
-// shed refusals use it directly; established sessions funnel every
-// frame through their writer goroutine, which also lands here.
-func writeFrame(conn net.Conn, enc *json.Encoder, f Frame, timeout time.Duration) error {
+// writeFrame encodes one frame straight onto the connection under a
+// write deadline. Only pre-session handshake errors and shed refusals
+// use it; established sessions write through their writer goroutine.
+func writeFrame(conn net.Conn, f Frame, timeout time.Duration) error {
 	if timeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(timeout))
 		defer conn.SetWriteDeadline(time.Time{})
 	}
-	return enc.Encode(f)
+	return json.NewEncoder(conn).Encode(f)
 }
 
 // session is one authenticated bot connection. A dedicated writer
@@ -344,7 +343,6 @@ type session struct {
 	conn net.Conn
 	bot  *platform.User
 	sub  *platform.Subscription
-	enc  *json.Encoder
 
 	limits  Limits
 	control chan Frame
@@ -352,7 +350,7 @@ type session struct {
 	done    chan struct{}
 
 	lastRecv atomic.Int64 // unix nanos of the last frame read
-	sent     atomic.Int64 // frames written to the socket
+	sent     atomic.Int64 // frames a successful flush wrote to the socket
 	dropped  atomic.Int64 // dispatch frames evicted by drop-oldest
 
 	rate bucket
@@ -385,41 +383,88 @@ func (sess *session) reason() string {
 	return sess.closeReason
 }
 
-// writeLoop is the session's single socket writer. Control frames are
-// preferred over event frames so a flood of dispatches can never starve
-// a response or heartbeat ack.
+// writeLoop is the session's single socket writer. It blocks for one
+// frame, then drains every frame already queued into one buffered
+// writer, flushing once the queues are empty or the buffer is half
+// full: a burst of frames costs one socket write, not one per frame.
+// Control frames are taken before event frames at every step, so a
+// flood of dispatches can never starve a response or heartbeat ack.
 func (sess *session) writeLoop() {
+	bw := bufio.NewWriter(deadlineWriter{sess.conn, sess.limits.WriteTimeout})
+	enc := json.NewEncoder(bw)
 	for {
-		select {
-		case f := <-sess.control:
-			if !sess.write(f) {
+		f, ok := sess.next(true)
+		if !ok {
+			return
+		}
+		var frames, events int64
+		for ok {
+			if err := enc.Encode(f); err != nil {
+				sess.closeWith("write_error")
 				return
 			}
-		default:
-			select {
-			case f := <-sess.control:
-				if !sess.write(f) {
-					return
-				}
-			case f := <-sess.events:
-				if !sess.write(f) {
-					return
-				}
-				sess.srv.cEventsOut.Inc()
-			case <-sess.done:
-				return
+			frames++
+			if f.Op == OpDispatch {
+				events++
 			}
+			if bw.Buffered() >= bw.Size()/2 {
+				break
+			}
+			f, ok = sess.next(false)
+		}
+		if err := bw.Flush(); err != nil {
+			sess.closeWith("write_error")
+			return
+		}
+		sess.sent.Add(frames)
+		// Read the shared counter only once an event went out: SetObs
+		// may swap it after the ready frame was written, and only an
+		// event published since orders that swap before this read.
+		if events > 0 {
+			sess.srv.cEventsOut.Add(events)
 		}
 	}
 }
 
-func (sess *session) write(f Frame) bool {
-	if err := writeFrame(sess.conn, sess.enc, f, sess.limits.WriteTimeout); err != nil {
-		sess.closeWith("write_error")
-		return false
+// next takes one queued frame, control before events. With wait it
+// blocks until a frame arrives or the session closes; without, it
+// reports false as soon as both queues are empty.
+func (sess *session) next(wait bool) (Frame, bool) {
+	select {
+	case f := <-sess.control:
+		return f, true
+	default:
 	}
-	sess.sent.Add(1)
-	return true
+	if !wait {
+		select {
+		case f := <-sess.events:
+			return f, true
+		default:
+			return Frame{}, false
+		}
+	}
+	select {
+	case f := <-sess.control:
+		return f, true
+	case f := <-sess.events:
+		return f, true
+	case <-sess.done:
+		return Frame{}, false
+	}
+}
+
+// deadlineWriter gives every socket write a fresh deadline: the flush
+// that ends a drain, and any write bufio makes early because a frame
+// overflowed the buffer. Nothing else writes to a session's socket
+// between drains, so the deadline is never cleared.
+type deadlineWriter struct {
+	conn    net.Conn
+	timeout time.Duration
+}
+
+func (w deadlineWriter) Write(p []byte) (int, error) {
+	w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	return w.conn.Write(p)
 }
 
 // send enqueues a control frame (ready, response, ack, error), blocking
@@ -536,13 +581,12 @@ func (s *Server) throttled(sess *session) (time.Duration, bool) {
 
 func (s *Server) serve(conn net.Conn) {
 	defer conn.Close()
-	enc := json.NewEncoder(conn)
 	dec := json.NewDecoder(bufio.NewReader(conn))
 
 	limits, reason, retryAfter, ok := s.admit()
 	if !ok {
 		if reason != "server_closed" {
-			s.shed(conn, enc, reason, retryAfter, limits.WriteTimeout)
+			s.shed(conn, reason, retryAfter, limits.WriteTimeout)
 		}
 		return
 	}
@@ -556,12 +600,12 @@ func (s *Server) serve(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	if hello.Op != OpIdentify {
-		writeFrame(conn, enc, Frame{Op: OpError, Err: "expected identify"}, limits.WriteTimeout)
+		writeFrame(conn, Frame{Op: OpError, Err: "expected identify"}, limits.WriteTimeout)
 		return
 	}
 	bot, err := s.p.BotByToken(hello.Token)
 	if err != nil {
-		writeFrame(conn, enc, Frame{Op: OpError, Err: "invalid token"}, limits.WriteTimeout)
+		writeFrame(conn, Frame{Op: OpError, Err: "invalid token"}, limits.WriteTimeout)
 		return
 	}
 	if limits.TenantIdentifyRPS > 0 {
@@ -570,7 +614,7 @@ func (s *Server) serve(conn net.Conn) {
 			if wait < time.Millisecond {
 				wait = time.Millisecond
 			}
-			s.shed(conn, enc, "tenant_rate", wait, limits.WriteTimeout)
+			s.shed(conn, "tenant_rate", wait, limits.WriteTimeout)
 			return
 		}
 	}
@@ -579,7 +623,6 @@ func (s *Server) serve(conn net.Conn) {
 		srv:     s,
 		conn:    conn,
 		bot:     bot,
-		enc:     enc,
 		limits:  limits,
 		control: make(chan Frame, 32),
 		events:  make(chan Frame, limits.SendQueue),
@@ -842,10 +885,7 @@ func (s *Server) handleRequest(bot *platform.User, f Frame) Frame {
 		for _, m := range msgs {
 			out = append(out, encodeMessage(s.p, m))
 		}
-		blob, _ := json.Marshal(out)
-		var generic []any
-		_ = json.Unmarshal(blob, &generic)
-		return ok(map[string]any{"messages": generic})
+		return ok(map[string]any{"messages": out})
 
 	case MethodGuilds:
 		var ids []string

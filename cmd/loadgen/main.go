@@ -51,7 +51,7 @@ func main() {
 		tenantBurst = flag.Int("tenant-burst", 0, "per-tenant burst")
 		sessionRPS  = flag.Float64("session-rps", 0, "per-session request rate (0 = unlimited)")
 		sessBurst   = flag.Int("session-burst", 0, "per-session burst")
-		sendQueue   = flag.Int("send-queue", 0, "bounded per-session event queue (0 = default 256)")
+		sendQueue   = flag.Int("send-queue", 0, "bounded per-session event queue (0 = default 512)")
 		slowPolicy  = flag.String("slow-consumer", "block", "full-queue policy: block, drop-oldest, disconnect")
 		writeTO     = flag.Duration("write-timeout", 0, "socket write / blocking-enqueue deadline (0 = default 5s)")
 		hbTimeout   = flag.Duration("heartbeat-timeout", 0, "reap sessions silent for this long (0 = off)")

@@ -93,10 +93,7 @@ func New(p *platform.Platform, opts Options) *Enforcer {
 		now:    opts.Now,
 		last:   make(map[platform.ID]interaction),
 	}
-	e.sub = p.Subscribe(1024, func(ev platform.Event) bool {
-		return ev.Type == platform.EventMessageCreate
-	})
-	go e.track()
+	e.sub = p.Subscribe(e.track)
 	return e
 }
 
@@ -105,16 +102,19 @@ func (e *Enforcer) Close() {
 	e.p.Unsubscribe(e.sub)
 }
 
-func (e *Enforcer) track() {
-	for ev := range e.sub.C {
-		u, err := e.p.UserByID(ev.UserID)
-		if err != nil || u.IsBot() {
-			continue // only human interactions authorize actions
-		}
-		e.mu.Lock()
-		e.last[ev.GuildID] = interaction{userID: ev.UserID, at: ev.At}
-		e.mu.Unlock()
+// track is the enforcer's platform subscription callback: it records
+// each human message as its guild's latest interaction.
+func (e *Enforcer) track(ev platform.Event) {
+	if ev.Type != platform.EventMessageCreate {
+		return
 	}
+	u, err := e.p.UserByID(ev.UserID)
+	if err != nil || u.IsBot() {
+		return // only human interactions authorize actions
+	}
+	e.mu.Lock()
+	e.last[ev.GuildID] = interaction{userID: ev.UserID, at: ev.At}
+	e.mu.Unlock()
 }
 
 // Stats returns a copy of the counters.

@@ -85,19 +85,14 @@ func (r *rig) speak(t *testing.T, u *platform.User, text string) {
 	if _, err := r.p.SendMessage(u.ID, r.general.ID, text); err != nil {
 		t.Fatal(err)
 	}
+	// Flush returns once every callback has run, the enforcer's too.
 	r.p.Flush()
-	// The enforcer's tracker runs on its own goroutine; give it a beat.
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
-		r.enf.mu.Lock()
-		last, ok := r.enf.last[r.guild.ID]
-		r.enf.mu.Unlock()
-		if ok && last.userID == u.ID {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+	r.enf.mu.Lock()
+	last, ok := r.enf.last[r.guild.ID]
+	r.enf.mu.Unlock()
+	if !ok || last.userID != u.ID {
+		t.Fatal("enforcer never observed the interaction")
 	}
-	t.Fatal("enforcer never observed the interaction")
 }
 
 func TestPrivilegedUserActionAllowed(t *testing.T) {

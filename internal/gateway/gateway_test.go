@@ -26,6 +26,20 @@ type rig struct {
 
 func newRig(t testing.TB, botPerms permissions.Permission) *rig {
 	t.Helper()
+	r := newServerRig(t, botPerms)
+	sess, err := botsdk.Dial(r.srv.Addr(), r.bot.Token, botsdk.Options{RequestTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	r.sess = sess
+	return r
+}
+
+// newServerRig is newRig without the SDK session: no client is
+// connected yet.
+func newServerRig(t testing.TB, botPerms permissions.Permission) *rig {
+	t.Helper()
 	p := platform.New(platform.Options{})
 	t.Cleanup(p.Close)
 	owner := p.CreateUser("owner")
@@ -49,12 +63,7 @@ func newRig(t testing.TB, botPerms permissions.Permission) *rig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	sess, err := botsdk.Dial(srv.Addr(), bot.Token, botsdk.Options{RequestTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sess.Close() })
-	return &rig{p: p, srv: srv, owner: owner, guild: g, general: general, bot: bot, sess: sess}
+	return &rig{p: p, srv: srv, owner: owner, guild: g, general: general, bot: bot}
 }
 
 func TestIdentifyAndReady(t *testing.T) {

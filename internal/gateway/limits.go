@@ -12,13 +12,13 @@ import (
 type SlowConsumerPolicy int
 
 const (
-	// SlowBlock parks the event pump up to Limits.WriteTimeout waiting
-	// for queue space, then disconnects the session. Nothing is ever
-	// silently lost, but a stalled client costs its own pump the wait.
+	// SlowBlock keeps the queued events and drops the newest one,
+	// counting the loss. A client that stops reading is closed once a
+	// socket write outlasts Limits.WriteTimeout.
 	SlowBlock SlowConsumerPolicy = iota
-	// SlowDropOldest evicts the oldest queued dispatch frame to make
-	// room, counting the loss — the behaviour of a real-time feed where
-	// fresh events beat stale ones.
+	// SlowDropOldest evicts the oldest queued event to make room,
+	// counting the loss — the behaviour of a real-time feed where fresh
+	// events beat stale ones.
 	SlowDropOldest
 	// SlowDisconnect drops the whole session the moment its queue
 	// overflows — the strictest policy, trading connection churn for
@@ -79,24 +79,28 @@ type Limits struct {
 	// identify budget. 0 = unlimited.
 	TenantIdentifyRPS   float64
 	TenantIdentifyBurst int
-	// SendQueue bounds each session's outbound event queue (default 256).
+	// SendQueue bounds each session's event queue, the one buffer
+	// between the platform and the session's socket writer
+	// (default 512).
 	SendQueue int
 	// SlowConsumer picks what happens when a session's event queue is
 	// full (default SlowBlock).
 	SlowConsumer SlowConsumerPolicy
 	// WriteTimeout is the deadline applied to every socket write and to
-	// blocking enqueues (default 5s). A session that cannot absorb a
-	// frame within it is disconnected instead of wedging the server.
+	// a control frame's enqueue (default 5s). A session that cannot
+	// absorb a frame within it is disconnected instead of wedging the
+	// server.
 	WriteTimeout time.Duration
-	// HeartbeatTimeout, when positive, reaps sessions that have not
-	// sent any frame (heartbeat or otherwise) for this long — the
-	// server-side half of the heartbeat contract. 0 disables reaping.
+	// HeartbeatTimeout, when positive, is the read deadline for each
+	// frame: a session that sends nothing (heartbeat or otherwise) for
+	// this long is closed as heartbeat_timeout — the server-side half of
+	// the heartbeat contract. 0 disables reaping.
 	HeartbeatTimeout time.Duration
 }
 
 func (l Limits) withDefaults() Limits {
 	if l.SendQueue <= 0 {
-		l.SendQueue = 256
+		l.SendQueue = 512
 	}
 	if l.WriteTimeout <= 0 {
 		l.WriteTimeout = 5 * time.Second

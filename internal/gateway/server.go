@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,7 +50,6 @@ type Server struct {
 	cShed        *obs.Counter
 	cShedBy      map[string]*obs.Counter
 	cDropped     *obs.Counter
-	cSubDropped  *obs.Counter
 	cReaped      *obs.Counter
 	cSlowClosed  *obs.Counter
 	cThrottled   *obs.Counter
@@ -77,7 +77,6 @@ func (s *Server) SetObs(r *obs.Registry) {
 		s.cShedBy[reason] = reg.Counter("gateway_sessions_shed_" + reason + "_total")
 	}
 	s.cDropped = reg.Counter("gateway_events_dropped_total")
-	s.cSubDropped = reg.Counter("gateway_sub_events_dropped_total")
 	s.cReaped = reg.Counter("gateway_sessions_reaped_total")
 	s.cSlowClosed = reg.Counter("gateway_slow_consumer_disconnects_total")
 	s.cThrottled = reg.Counter("gateway_requests_throttled_total")
@@ -333,11 +332,13 @@ func writeFrame(conn net.Conn, f Frame, timeout time.Duration) error {
 	return json.NewEncoder(conn).Encode(f)
 }
 
-// session is one authenticated bot connection. A dedicated writer
-// goroutine owns the socket's write side; everything else enqueues into
-// one of two bounded channels — control (ready frames, responses, acks;
-// enqueue blocks with a deadline) and events (dispatch frames; the
-// slow-consumer policy decides what a full queue means).
+// session is one authenticated bot connection, served by two
+// goroutines: serve reads frames and answers requests, and writeLoop
+// owns the socket's write side. Two bounded channels feed the writer:
+// control (ready frames, responses, acks; enqueue blocks with a
+// deadline) and events (the platform events the subscription callback
+// queues under the slow-consumer policy; the writer encodes each one as
+// it drains it).
 type session struct {
 	srv  *Server
 	conn net.Conn
@@ -346,12 +347,11 @@ type session struct {
 
 	limits  Limits
 	control chan Frame
-	events  chan Frame
+	events  chan platform.Event
 	done    chan struct{}
 
-	lastRecv atomic.Int64 // unix nanos of the last frame read
-	sent     atomic.Int64 // frames a successful flush wrote to the socket
-	dropped  atomic.Int64 // dispatch frames evicted by drop-oldest
+	sent    atomic.Int64 // frames a successful flush wrote to the socket
+	dropped atomic.Int64 // events the slow-consumer policy discarded
 
 	rate bucket
 
@@ -437,8 +437,8 @@ func (sess *session) next(wait bool) (Frame, bool) {
 	}
 	if !wait {
 		select {
-		case f := <-sess.events:
-			return f, true
+		case e := <-sess.events:
+			return sess.dispatchFrame(e), true
 		default:
 			return Frame{}, false
 		}
@@ -446,11 +446,15 @@ func (sess *session) next(wait bool) (Frame, bool) {
 	select {
 	case f := <-sess.control:
 		return f, true
-	case f := <-sess.events:
-		return f, true
+	case e := <-sess.events:
+		return sess.dispatchFrame(e), true
 	case <-sess.done:
 		return Frame{}, false
 	}
+}
+
+func (sess *session) dispatchFrame(e platform.Event) Frame {
+	return Frame{Op: OpDispatch, Type: string(e.Type), Event: encodeEvent(sess.srv.p, e)}
 }
 
 // deadlineWriter gives every socket write a fresh deadline: the flush
@@ -492,82 +496,70 @@ func (sess *session) send(f Frame) error {
 	}
 }
 
-// sendEvent enqueues a dispatch frame under the slow-consumer policy.
-func (sess *session) sendEvent(f Frame) error {
+// onEvent is the session's platform subscription callback. It runs on
+// the bus's dispatcher goroutine and must not block: it filters the
+// event, applies the fault policy, then queues the event under the
+// slow-consumer policy.
+func (sess *session) onEvent(e platform.Event) {
+	s, bot := sess.srv, sess.bot
+	// Deliver only events in guilds this bot belongs to, and not the
+	// bot's own messages (Discord bots receive their own messages, but
+	// our honeypot bots never need the echo; suppressing it avoids
+	// self-trigger loops). Interactions are addressed to one bot; other
+	// bots in the guild never see them.
+	switch {
+	case e.Type == platform.EventMessageCreate && e.UserID == bot.ID:
+		return
+	case e.Type == platform.EventInteractionCreate:
+		if e.Interaction == nil || e.Interaction.BotID != bot.ID {
+			return
+		}
+	case !s.p.IsMember(e.GuildID, bot.ID):
+		return
+	}
+	// A closed session's writer is gone: it takes no fault decision and
+	// counts no loss.
 	select {
-	case sess.events <- f:
-		return nil
 	case <-sess.done:
-		return errSessionClosed
+		return
+	default:
+	}
+	if fp := s.getFaults(); fp != nil {
+		drop, disconnect := fp.EventFault(bot.Name)
+		if disconnect {
+			sess.closeWith("fault_disconnect")
+			return
+		}
+		if drop {
+			return
+		}
+	}
+	select {
+	case sess.events <- e:
+		return
 	default:
 	}
 	switch sess.limits.SlowConsumer {
 	case SlowDropOldest:
-		for {
-			select {
-			case sess.events <- f:
-				return nil
-			case <-sess.done:
-				return errSessionClosed
-			default:
-			}
-			// Evict the oldest queued dispatch to make room; the events
-			// channel only ever carries dispatch frames, so control
-			// traffic can never be a casualty.
-			select {
-			case <-sess.events:
-				sess.noteDropped(1)
-			default:
-			}
+		// Evict the oldest queued event to make room. This callback is
+		// the queue's only sender, so the send after it cannot block.
+		select {
+		case <-sess.events:
+			sess.noteDropped()
+		default:
 		}
+		sess.events <- e
 	case SlowDisconnect:
-		sess.srv.cSlowClosed.Inc()
+		s.cSlowClosed.Inc()
 		sess.closeWith("slow_consumer")
-		return errSessionClosed
-	default: // SlowBlock
-		t := time.NewTimer(sess.limits.WriteTimeout)
-		defer t.Stop()
-		select {
-		case sess.events <- f:
-			return nil
-		case <-sess.done:
-			return errSessionClosed
-		case <-t.C:
-			sess.srv.cSlowClosed.Inc()
-			sess.closeWith("slow_consumer")
-			return errSessionClosed
-		}
+	default: // SlowBlock: the newest event is the one lost
+		sess.noteDropped()
 	}
 }
 
-func (sess *session) noteDropped(n int64) {
-	sess.dropped.Add(n)
-	sess.srv.cDropped.Add(n)
-}
-
-// reapLoop enforces server-side heartbeat liveness: a session that goes
-// silent past the heartbeat timeout is disconnected, freeing its
-// admission slot for a live client.
-func (sess *session) reapLoop(timeout time.Duration) {
-	tick := timeout / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-sess.done:
-			return
-		case <-t.C:
-			last := time.Unix(0, sess.lastRecv.Load())
-			if time.Since(last) > timeout {
-				sess.srv.cReaped.Inc()
-				sess.closeWith("heartbeat_timeout")
-				return
-			}
-		}
-	}
+func (sess *session) noteDropped() {
+	sess.dropped.Add(1)
+	sess.srv.cDropped.Inc()
 }
 
 // throttled applies the per-session token bucket; it returns the
@@ -625,29 +617,17 @@ func (s *Server) serve(conn net.Conn) {
 		bot:     bot,
 		limits:  limits,
 		control: make(chan Frame, 32),
-		events:  make(chan Frame, limits.SendQueue),
+		events:  make(chan platform.Event, limits.SendQueue),
 		done:    make(chan struct{}),
 	}
-	sess.lastRecv.Store(time.Now().UnixNano())
-	// Deliver only events in guilds this bot belongs to, and not the
-	// bot's own messages (Discord bots receive their own messages, but
-	// our honeypot bots never need the echo; suppressing it avoids
-	// self-trigger loops).
-	sess.sub = s.p.Subscribe(256, func(e platform.Event) bool {
-		if e.Type == platform.EventMessageCreate && e.UserID == bot.ID {
-			return false
-		}
-		// Interactions are addressed to one bot; other bots in the
-		// guild never see them.
-		if e.Type == platform.EventInteractionCreate {
-			return e.Interaction != nil && e.Interaction.BotID == bot.ID
-		}
-		return s.p.IsMember(e.GuildID, bot.ID)
-	})
-	// Upstream backpressure accounting: the platform bus drops events
-	// for subscribers whose buffer is full (a pump stalled by SlowBlock);
-	// surface those losses on the same counter family.
-	sess.sub.SetDropHook(func(int) { s.cSubDropped.Inc() })
+	sess.sub = s.p.Subscribe(sess.onEvent)
+	var guilds []string
+	for _, gid := range s.p.GuildsOf(bot.ID) {
+		guilds = append(guilds, gid.String())
+	}
+	// The writer takes control frames before events, so the ready frame
+	// queued before it starts precedes every dispatch.
+	sess.control <- Frame{Op: OpReady, BotID: bot.ID.String(), BotName: bot.Name, GuildIDs: guilds}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -673,8 +653,14 @@ func (s *Server) serve(conn net.Conn) {
 			"sessions":       nSessions,
 		},
 	})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		sess.writeLoop()
+	}()
 	defer func() {
 		sess.closeWith("peer_closed")
+		<-writerDone
 		s.mu.Lock()
 		delete(s.sessions, sess)
 		s.gSessions.Add(-1)
@@ -699,61 +685,25 @@ func (s *Server) serve(conn net.Conn) {
 				"reason":         sess.reason(),
 				"frames_sent":    sess.sent.Load(),
 				"events_dropped": sess.dropped.Load(),
-				"sub_dropped":    sess.sub.Dropped(),
 			},
 		})
 	}()
 
-	go sess.writeLoop()
-	if limits.HeartbeatTimeout > 0 {
-		go sess.reapLoop(limits.HeartbeatTimeout)
-	}
-
-	var guilds []string
-	for _, gid := range s.p.GuildsOf(bot.ID) {
-		guilds = append(guilds, gid.String())
-	}
-	if err := sess.send(Frame{Op: OpReady, BotID: bot.ID.String(), BotName: bot.Name, GuildIDs: guilds}); err != nil {
-		return
-	}
-
-	// Pump events from the platform subscription into the session's
-	// bounded queue. The policy-governed enqueue means a stalled client
-	// can never wedge this goroutine for longer than the write timeout.
-	go func() {
-		for {
-			select {
-			case e, ok := <-sess.sub.C:
-				if !ok {
-					return
-				}
-				if fp := s.getFaults(); fp != nil {
-					drop, disconnect := fp.EventFault(bot.Name)
-					if disconnect {
-						sess.closeWith("fault_disconnect")
-						return
-					}
-					if drop {
-						continue
-					}
-				}
-				f := Frame{Op: OpDispatch, Type: string(e.Type), Event: encodeEvent(s.p, e)}
-				if err := sess.sendEvent(f); err != nil {
-					return
-				}
-			case <-sess.done:
-				return
-			}
-		}
-	}()
-
 	tenant := s.tenantBucket(bot.OwnerID)
 	for {
+		// Heartbeat liveness: a session silent past the timeout is
+		// closed, freeing its admission slot for a live client.
+		if limits.HeartbeatTimeout > 0 {
+			conn.SetReadDeadline(time.Now().Add(limits.HeartbeatTimeout))
+		}
 		var f Frame
 		if err := dec.Decode(&f); err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				s.cReaped.Inc()
+				sess.closeWith("heartbeat_timeout")
+			}
 			return
 		}
-		sess.lastRecv.Store(time.Now().UnixNano())
 		switch f.Op {
 		case OpHeartbeat:
 			if err := sess.send(Frame{Op: OpHeartbeatAck, Seq: f.Seq}); err != nil {

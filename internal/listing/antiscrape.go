@@ -29,9 +29,6 @@ type AntiScrape struct {
 	// SlowRedirectDelay is how long InviteSlow install pages stall
 	// before redirecting (default 3s).
 	SlowRedirectDelay time.Duration
-	// RobotsTxt, when non-empty, is served at /robots.txt so polite
-	// crawlers can honour the site's published crawl policy.
-	RobotsTxt string
 }
 
 // captchaChallenge is an arithmetic puzzle; solving it grants a pass

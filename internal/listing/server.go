@@ -53,7 +53,6 @@ func NewServer(dir *Directory, cfg AntiScrape, addr string) (*Server, error) {
 	mux.HandleFunc("/oauth/slow/", s.handleSlowRedirect) // delay is the defence
 	mux.HandleFunc("/captcha", s.handleCaptcha)
 	mux.HandleFunc("/site/", s.guarded(s.handleSite))
-	mux.HandleFunc("/robots.txt", s.handleRobots)
 	s.mux = mux
 	s.handler.Store(handlerBox{mux})
 	s.srv = &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -115,15 +114,6 @@ func (s *Server) guarded(h http.HandlerFunc) http.HandlerFunc {
 		s.mu.Unlock()
 		h(w, r)
 	}
-}
-
-func (s *Server) handleRobots(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.RobotsTxt == "" {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, s.cfg.RobotsTxt)
 }
 
 func (s *Server) handleCaptcha(w http.ResponseWriter, r *http.Request) {

@@ -138,7 +138,6 @@ type Result struct {
 
 	// Server-side accounting, read from the gateway's registry.
 	EventsDropped   int64 `json:"events_dropped"`
-	SubDropped      int64 `json:"sub_events_dropped"`
 	SlowDisconnects int64 `json:"slow_consumer_disconnects"`
 	Reaped          int64 `json:"sessions_reaped"`
 	Shed            int64 `json:"sessions_shed"`
@@ -349,7 +348,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res.ShedDials = shedDials.Load()
 
 	res.EventsDropped = reg.Counter("gateway_events_dropped_total").Value()
-	res.SubDropped = reg.Counter("gateway_sub_events_dropped_total").Value()
 	res.SlowDisconnects = reg.Counter("gateway_slow_consumer_disconnects_total").Value()
 	res.Reaped = reg.Counter("gateway_sessions_reaped_total").Value()
 	res.Shed = reg.Counter("gateway_sessions_shed_total").Value()

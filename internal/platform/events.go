@@ -34,74 +34,28 @@ type Event struct {
 	flush chan struct{}
 }
 
-// Subscription receives events matching its filter on C. If a
-// subscriber falls behind its buffer, events are dropped and counted —
-// the same back-pressure behaviour a real gateway applies to slow bots.
+// Subscription is one registered event callback. The bus's dispatcher
+// goroutine calls fn for each event, in publish order, under the
+// subscription's lock, so no call runs after Unsubscribe returns.
 type Subscription struct {
-	C      chan Event
-	id     int
-	filter func(Event) bool
+	id int
+	fn func(Event)
 
-	mu      sync.Mutex
-	dropped int
-	onDrop  func(total int)
-	closed  bool
-}
-
-// Dropped reports how many events were discarded because the subscriber
-// was slow.
-func (s *Subscription) Dropped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// SetDropHook installs a callback invoked (outside the subscription
-// lock) with the running drop total each time an event is discarded, so
-// consumers like the gateway can account for upstream backpressure
-// losses live instead of only at teardown.
-func (s *Subscription) SetDropHook(fn func(total int)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onDrop = fn
+	mu     sync.Mutex
+	closed bool
 }
 
 func (s *Subscription) deliver(e Event) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	if s.filter != nil && !s.filter(e) {
-		s.mu.Unlock()
-		return
-	}
-	var hook func(int)
-	var total int
-	select {
-	case s.C <- e:
-	default:
-		s.dropped++
-		hook, total = s.onDrop, s.dropped
-	}
-	s.mu.Unlock()
-	if hook != nil {
-		hook(total)
-	}
-}
-
-func (s *Subscription) close() {
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.closed {
-		s.closed = true
-		close(s.C)
+		s.fn(e)
 	}
 }
 
 // bus fans platform events out to subscribers. Delivery happens on a
 // dedicated dispatcher goroutine so that publishing — which occurs while
-// the platform write-lock is held — never invokes subscriber filters
+// the platform write-lock is held — never invokes subscriber callbacks
 // that might re-enter the platform (and self-deadlock on the RWMutex).
 type bus struct {
 	mu      sync.Mutex
@@ -156,26 +110,30 @@ func (b *bus) stop() {
 	b.mu.Unlock()
 }
 
-// Subscribe registers for events. filter may be nil for all events;
-// buffer is the channel depth before drops begin (min 1).
-func (p *Platform) Subscribe(buffer int, filter func(Event) bool) *Subscription {
-	if buffer < 1 {
-		buffer = 1
-	}
+// Subscribe registers fn for every event the dispatcher delivers from
+// now on. The dispatcher goroutine makes the calls one at a time, so fn
+// must not block: a callback that waits stalls delivery to every
+// subscriber. For the same reason fn must not call Flush, nor
+// Unsubscribe its own subscription.
+func (p *Platform) Subscribe(fn func(Event)) *Subscription {
 	p.bus.mu.Lock()
 	defer p.bus.mu.Unlock()
-	s := &Subscription{C: make(chan Event, buffer), id: p.bus.nextID, filter: filter}
+	s := &Subscription{id: p.bus.nextID, fn: fn}
 	p.bus.nextID++
 	p.bus.subs[s.id] = s
 	return s
 }
 
-// Unsubscribe removes the subscription and closes its channel.
+// Unsubscribe removes the subscription. Once it returns, fn is never
+// called again; a call in flight finishes first. A second Unsubscribe
+// is harmless.
 func (p *Platform) Unsubscribe(s *Subscription) {
 	p.bus.mu.Lock()
 	delete(p.bus.subs, s.id)
 	p.bus.mu.Unlock()
-	s.close()
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
 }
 
 // publishLocked enqueues an event for asynchronous fan-out. Callers
@@ -196,9 +154,9 @@ func (p *Platform) Close() {
 }
 
 // Flush blocks until every event published before the call has been
-// handed to subscribers' channels — useful in tests and examples. It
-// does not wait for a subscriber, such as a gateway session, to act on
-// the event.
+// passed to every subscriber's callback and the callback has returned —
+// useful in tests and examples. A gateway session's callback only
+// queues the event, so Flush does not wait for it to reach the socket.
 func (p *Platform) Flush() {
 	done := make(chan struct{})
 	p.bus.mu.Lock()

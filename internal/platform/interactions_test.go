@@ -102,15 +102,14 @@ func TestInteractionReplyBypassesSendOverwrites(t *testing.T) {
 
 func TestInteractionEventTargeting(t *testing.T) {
 	p, owner, g, general, bot := interactionFixture(t)
-	sub := p.Subscribe(8, func(e Event) bool { return e.Type == EventInteractionCreate })
-	defer p.Unsubscribe(sub)
+	events := subscribeChan(t, p, 8, func(e Event) bool { return e.Type == EventInteractionCreate })
 	in, err := p.Interact(owner.ID, bot.ID, general.ID, "help", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Flush()
 	select {
-	case e := <-sub.C:
+	case e := <-events:
 		if e.Interaction == nil || e.Interaction.ID != in.ID || e.UserID != owner.ID {
 			t.Errorf("event = %+v", e)
 		}

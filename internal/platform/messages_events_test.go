@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,16 +131,36 @@ func TestDeleteMessage(t *testing.T) {
 	}
 }
 
+// subscribeChan adapts a callback subscription to a channel for tests:
+// events that pass filter (nil passes all) land on the returned
+// channel, buffered to buffer. The callback must not block, so an event
+// that finds the buffer full fails the test instead of waiting.
+func subscribeChan(t *testing.T, p *Platform, buffer int, filter func(Event) bool) <-chan Event {
+	t.Helper()
+	ch := make(chan Event, buffer)
+	sub := p.Subscribe(func(e Event) {
+		if filter != nil && !filter(e) {
+			return
+		}
+		select {
+		case ch <- e:
+		default:
+			t.Errorf("test subscriber buffer (%d) overflowed at %+v", buffer, e)
+		}
+	})
+	t.Cleanup(func() { p.Unsubscribe(sub) })
+	return ch
+}
+
 func TestEventDelivery(t *testing.T) {
 	p, owner, g, general := fixture(t)
-	sub := p.Subscribe(16, func(e Event) bool { return e.Type == EventMessageCreate })
-	defer p.Unsubscribe(sub)
+	events := subscribeChan(t, p, 16, func(e Event) bool { return e.Type == EventMessageCreate })
 	u := addUser(t, p, g, "talker")
 	if _, err := p.SendMessage(u.ID, general.ID, "hello events"); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case e := <-sub.C:
+	case e := <-events:
 		if e.Type != EventMessageCreate || e.Message == nil || e.Message.Content != "hello events" {
 			t.Errorf("unexpected event %+v", e)
 		}
@@ -152,37 +173,76 @@ func TestEventDelivery(t *testing.T) {
 	// Filter means the member-add from addUser was not delivered.
 	p.Flush()
 	select {
-	case e := <-sub.C:
+	case e := <-events:
 		t.Errorf("unexpected extra event: %+v", e)
 	default:
 	}
 	_ = owner
 }
 
-func TestEventDropOnSlowSubscriber(t *testing.T) {
-	p, owner, g, general := fixture(t)
-	sub := p.Subscribe(1, nil)
-	defer p.Unsubscribe(sub)
+// TestNoCallbackAfterUnsubscribe holds a callback in flight, calls
+// Unsubscribe beside it, and requires that Unsubscribe waits for that
+// call to return and that no later event reaches the callback. A second
+// Unsubscribe must return at once.
+func TestNoCallbackAfterUnsubscribe(t *testing.T) {
+	p, owner, _, general := fixture(t)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var unsubscribed atomic.Bool
+	var calls, late atomic.Int64
+	sub := p.Subscribe(func(e Event) {
+		if e.Type != EventMessageCreate {
+			return
+		}
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		if unsubscribed.Load() {
+			late.Add(1)
+		}
+	})
+	if _, err := p.SendMessage(owner.ID, general.ID, "first"); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	unsubDone := make(chan struct{})
+	go func() {
+		p.Unsubscribe(sub)
+		unsubscribed.Store(true)
+		close(unsubDone)
+	}()
+	select {
+	case <-unsubDone:
+		t.Fatal("Unsubscribe returned while a callback was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-unsubDone
+
 	for i := 0; i < 10; i++ {
-		if _, err := p.SendMessage(owner.ID, general.ID, "spam"); err != nil {
+		if _, err := p.SendMessage(owner.ID, general.ID, "after"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p.Flush()
-	if sub.Dropped() == 0 {
-		t.Error("expected drops on a full subscriber buffer")
+	if n := late.Load(); n != 0 {
+		t.Errorf("%d callbacks ran after Unsubscribe returned", n)
 	}
-	_ = g
-}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("callback ran %d times, want 1", n)
+	}
 
-func TestUnsubscribeClosesChannel(t *testing.T) {
-	p, _, _, _ := fixture(t)
-	sub := p.Subscribe(1, nil)
-	p.Unsubscribe(sub)
-	if _, ok := <-sub.C; ok {
-		t.Error("channel should be closed after Unsubscribe")
+	second := make(chan struct{})
+	go func() {
+		p.Unsubscribe(sub)
+		close(second)
+	}()
+	select {
+	case <-second:
+	case <-time.After(time.Second):
+		t.Fatal("second Unsubscribe blocked")
 	}
-	p.Unsubscribe(sub) // double-unsubscribe must not panic
 }
 
 func TestAuditLogAccess(t *testing.T) {

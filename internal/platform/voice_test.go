@@ -130,15 +130,14 @@ func TestVoiceMuteDeafenHierarchyExempt(t *testing.T) {
 
 func TestVoiceStateEventsDispatched(t *testing.T) {
 	p, _, g, lounge := voiceFixture(t)
-	sub := p.Subscribe(16, func(e Event) bool { return e.Type == EventVoiceStateUpdate })
-	defer p.Unsubscribe(sub)
+	events := subscribeChan(t, p, 16, func(e Event) bool { return e.Type == EventVoiceStateUpdate })
 	u := addUser(t, p, g, "streamer")
 	if err := p.JoinVoice(u.ID, lounge.ID); err != nil {
 		t.Fatal(err)
 	}
 	p.Flush()
 	select {
-	case e := <-sub.C:
+	case e := <-events:
 		if e.UserID != u.ID || e.ChannelID != lounge.ID {
 			t.Errorf("event = %+v", e)
 		}

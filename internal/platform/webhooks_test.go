@@ -105,15 +105,14 @@ func TestWebhookLaunderingScenario(t *testing.T) {
 
 func TestWebhookEventsDispatched(t *testing.T) {
 	p, owner, _, general := fixture(t)
-	sub := p.Subscribe(8, func(e Event) bool { return e.Type == EventWebhookUpdate })
-	defer p.Unsubscribe(sub)
+	events := subscribeChan(t, p, 8, func(e Event) bool { return e.Type == EventWebhookUpdate })
 	wh, err := p.CreateWebhook(owner.ID, general.ID, "evt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Flush()
 	select {
-	case e := <-sub.C:
+	case e := <-events:
 		if e.ChannelID != general.ID {
 			t.Errorf("event = %+v", e)
 		}

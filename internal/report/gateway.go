@@ -17,8 +17,8 @@ func GatewayLoad(w io.Writer, r *loadgen.Result) {
 		r.PublishedPerSec, r.DeliveredPerSec, 100*r.DeliveryRatio, r.DurationMS/1000)
 	fmt.Fprintf(w, "  requests    %d ok, %d failed, %d throttled (%d tenant-level)\n",
 		r.RequestsOK, r.RequestsFailed, r.Throttled, r.TenantThrottled)
-	fmt.Fprintf(w, "  degradation %d shed, %d shed dials, %d events dropped, %d sub drops, %d slow-consumer disconnects, %d reaped, %d reconnects, %d faults\n",
-		r.Shed, r.ShedDials, r.EventsDropped, r.SubDropped, r.SlowDisconnects, r.Reaped, r.Reconnects, r.FaultsInjected)
+	fmt.Fprintf(w, "  degradation %d shed, %d shed dials, %d events dropped, %d slow-consumer disconnects, %d reaped, %d reconnects, %d faults\n",
+		r.Shed, r.ShedDials, r.EventsDropped, r.SlowDisconnects, r.Reaped, r.Reconnects, r.FaultsInjected)
 	if r.Shed > 0 {
 		fmt.Fprintf(w, "  shed by     %d max_sessions, %d identify_rate, %d tenant_rate\n",
 			r.ShedMaxSessions, r.ShedIdentifyRate, r.ShedTenantRate)

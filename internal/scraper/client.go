@@ -19,10 +19,10 @@ import (
 	"repro/internal/retry"
 )
 
-// Client is a polite, captcha-capable HTTP fetcher for one target site.
-// It self-limits its request rate (§3: "we limit the rate at which we
-// generate our requests"), mimics a browser user agent, and reacts to
-// challenge pages by calling the solver and retrying. Each fetch makes
+// Client is a captcha-capable HTTP fetcher for one target site. It
+// backs off when the site throttles it (§3: "we limit the rate at which
+// we generate our requests"), mimics a browser user agent, and reacts
+// to challenge pages by calling the solver and retrying. Each fetch makes
 // at most fetchAttempts tries, of which at most transportRetries may
 // retry a transport fault. Every wait is cancellation-aware: pass a
 // context via the *Context methods to abort a crawl mid-backoff.
@@ -32,17 +32,13 @@ type Client struct {
 	solver  Solver
 	session string
 
-	// MinInterval between requests; zero disables self-limiting.
-	minInterval time.Duration
-
 	// breakers, when set, short-circuits fetches against endpoint
 	// classes that are persistently failing; nil disables the circuit.
 	breakers *retry.BreakerSet
 
-	mu      sync.Mutex
-	lastReq time.Time
-	pass    string
-	stats   Stats
+	mu    sync.Mutex
+	pass  string
+	stats Stats
 
 	// observability
 	cRequests    *obs.Counter
@@ -62,9 +58,6 @@ type ClientConfig struct {
 	BaseURL string
 	// Timeout bounds each fetch; zero means no client-side deadline.
 	Timeout time.Duration
-	// MinInterval spaces successive requests (politeness); zero
-	// disables self-limiting.
-	MinInterval time.Duration
 	// Solver answers captcha challenges; nil fails on captchas.
 	Solver Solver
 	// Obs receives the client's counters and fetch-latency histogram;
@@ -144,7 +137,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		base:         u,
 		http:         &http.Client{Timeout: cfg.Timeout, Transport: transport},
 		solver:       cfg.Solver,
-		minInterval:  cfg.MinInterval,
 		breakers:     cfg.Breakers,
 		session:      fmt.Sprintf("s%d", time.Now().UnixNano()),
 		cRequests:    reg.Counter("scraper_requests_total"),
@@ -179,28 +171,6 @@ func (c *Client) endpointClass(ref string) string {
 		seg = seg[:i+1]
 	}
 	return full.Host + " " + seg
-}
-
-// pace enforces the politeness interval, aborting early when ctx is
-// cancelled.
-func (c *Client) pace(ctx context.Context) error {
-	c.mu.Lock()
-	interval := c.minInterval
-	if interval <= 0 {
-		c.mu.Unlock()
-		return ctx.Err()
-	}
-	wait := interval - time.Since(c.lastReq)
-	if wait > 0 {
-		c.lastReq = c.lastReq.Add(interval)
-	} else {
-		c.lastReq = time.Now()
-	}
-	c.mu.Unlock()
-	if wait > 0 {
-		return obs.SleepContext(ctx, wait)
-	}
-	return ctx.Err()
 }
 
 // GetContext fetches a path (or absolute URL) and parses the response
@@ -319,12 +289,12 @@ func (c *Client) GetRawContext(ctx context.Context, ref string) (string, error) 
 	return body, nil
 }
 
-// fetchOnce performs a single paced request and classifies the outcome:
+// fetchOnce performs a single request and classifies the outcome:
 // nil on a 200, a captchaChallenge on a challenge page, errThrottled
 // (with its Retry-After hint) on 429, a transientError on 5xx or
 // non-timeout transport failures, and a permanent error otherwise.
 func (c *Client) fetchOnce(ctx context.Context, ref string) (string, error) {
-	if err := c.pace(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return "", err
 	}
 	req, err := c.newRequest(ctx, ref)

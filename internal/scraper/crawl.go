@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -387,15 +386,4 @@ func PermissionDistribution(records []*Record) []PermissionShare {
 		return out[i].Perm < out[j].Perm
 	})
 	return out
-}
-
-// resolveRef joins a possibly-relative href against a base — exported
-// via helper for the code-analysis stage, which receives host-relative
-// GitHub links.
-func resolveRef(base *url.URL, ref string) string {
-	u, err := url.Parse(ref)
-	if err != nil {
-		return ref
-	}
-	return base.ResolveReference(u).String()
 }

@@ -14,16 +14,14 @@ import (
 func TestClientConfigWiring(t *testing.T) {
 	solver := &TwoCaptchaSim{CostPerSolve: 299}
 	const (
-		base        = "http://listing.test:8080"
-		timeout     = 750 * time.Millisecond
-		minInterval = 25 * time.Millisecond
+		base    = "http://listing.test:8080"
+		timeout = 750 * time.Millisecond
 	)
 
 	c, err := NewClient(ClientConfig{
-		BaseURL:     base,
-		Timeout:     timeout,
-		MinInterval: minInterval,
-		Solver:      solver,
+		BaseURL: base,
+		Timeout: timeout,
+		Solver:  solver,
 	})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -34,9 +32,6 @@ func TestClientConfigWiring(t *testing.T) {
 	}
 	if got := c.http.Timeout; got != timeout {
 		t.Errorf("http timeout = %v, want %v", got, timeout)
-	}
-	if got := c.minInterval; got != minInterval {
-		t.Errorf("min interval = %v, want %v", got, minInterval)
 	}
 	if c.solver != Solver(solver) {
 		t.Errorf("solver not passed through: %v", c.solver)

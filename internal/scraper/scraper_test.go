@@ -303,23 +303,6 @@ func TestRateLimitBackoff(t *testing.T) {
 	}
 }
 
-func TestSelfPacing(t *testing.T) {
-	srv, _ := startSite(t, 5, listing.AntiScrape{})
-	c, err := NewClient(ClientConfig{BaseURL: srv.BaseURL(), Timeout: time.Second, MinInterval: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	for i := 0; i < 5; i++ {
-		if _, err := c.GetContext(context.Background(), "/bots?page=1"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if elapsed := time.Since(start); elapsed < 4*30*time.Millisecond {
-		t.Errorf("5 paced requests took %v, want >= %v", elapsed, 4*30*time.Millisecond)
-	}
-}
-
 func TestPermissionDistribution(t *testing.T) {
 	recs := []*Record{
 		{ID: 1, PermsValid: true, Perms: permissions.SendMessages | permissions.Administrator},

@@ -11,7 +11,6 @@
 package botsdk
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -101,7 +100,6 @@ type Session struct {
 	conn net.Conn
 
 	writeMu sync.Mutex
-	enc     *json.Encoder
 
 	botID   string
 	botName string
@@ -136,7 +134,6 @@ func Dial(addr, token string, opts Options) (*Session, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Session{
 		conn:       conn,
-		enc:        json.NewEncoder(conn),
 		reqTimeout: opts.RequestTimeout,
 		pending:    make(map[int64]chan gateway.Frame),
 		handlers:   make(map[string][]Handler),
@@ -149,10 +146,10 @@ func Dial(addr, token string, opts Options) (*Session, error) {
 		conn.Close()
 		return nil, err
 	}
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	fr := gateway.NewFrameReader(conn)
 	conn.SetReadDeadline(time.Now().Add(opts.DialTimeout))
 	var ready gateway.Frame
-	if err := dec.Decode(&ready); err != nil {
+	if err := fr.ReadFrame(&ready); err != nil {
 		cancel()
 		conn.Close()
 		return nil, fmt.Errorf("%w: %v", ErrIdentify, err)
@@ -168,7 +165,7 @@ func Dial(addr, token string, opts Options) (*Session, error) {
 	}
 	s.botID, s.botName, s.guilds = ready.BotID, ready.BotName, ready.GuildIDs
 	s.wg.Add(1)
-	go s.readLoop(dec)
+	go s.readLoop(fr)
 	if opts.HeartbeatEvery > 0 {
 		s.wg.Add(1)
 		go s.heartbeatLoop(opts.HeartbeatEvery)
@@ -234,16 +231,21 @@ func (s *Session) teardown() error {
 }
 
 func (s *Session) send(f gateway.Frame) error {
+	b, err := gateway.AppendFrame(nil, &f)
+	if err != nil {
+		return err
+	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	return s.enc.Encode(f)
+	_, err = s.conn.Write(b)
+	return err
 }
 
-func (s *Session) readLoop(dec *json.Decoder) {
+func (s *Session) readLoop(fr *gateway.FrameReader) {
 	defer s.wg.Done()
+	var f gateway.Frame
 	for {
-		var f gateway.Frame
-		if err := dec.Decode(&f); err != nil {
+		if err := fr.ReadFrame(&f); err != nil {
 			s.teardown()
 			return
 		}

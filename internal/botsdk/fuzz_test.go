@@ -52,6 +52,23 @@ func FuzzSessionFrames(f *testing.F) {
 		f.Add(seed, false)
 		f.Add(seed, true)
 	}
+	// Escapes, and lines the hand decoder leaves to encoding/json.
+	for _, line := range []string{
+		string(message("\"\\ <>& \x00\x1f \u2028\u2029 \xff")),
+		`{"op":"dispatch","type":"MESSAGE_CREATE","event":{"message":{"content":"\ud83d\ude00 \ud800 \/"}}}` + "\n",
+		`{"OP":"response","ID":1,"Ok":true,"Result":{"guild_ids":"9"}}` + "\n",
+		`{"op":"response","id":1,"id":1,"ok":true,"result":{"guild_ids":"9"}}` + "\n",
+		`{"op":"response","id":1e0,"ok":true}` + "\n",
+		`{"op":"response","id":1.5,"ok":true}` + "\n",
+		`{"op":"dispatch","type":null,"event":null}` + "\n",
+		`{"op":"response","id":1,"ok":true,"result":{"guild_ids":"9","extra":{"a":[1,{"b":"}"}]}}}` + "\n",
+		`{"op":"heartbeat_ack","seq":1}trailing` + "\n",
+		`{"op":"heartbeat_ack","seq":1}{"op":"response","id":1,"ok":true}` + "\n",
+		"\n\n" + `{"op":"response","id":1,"ok":true,"result":{"guild_ids":"9"}}` + "\n\n",
+	} {
+		f.Add([]byte(line), false)
+		f.Add([]byte(line), true)
+	}
 
 	f.Fuzz(func(t *testing.T, input []byte, pending bool) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -140,9 +157,11 @@ func FuzzSessionFrames(f *testing.F) {
 	})
 }
 
-// answers reports whether the frames the session's read loop decodes
-// from input, up to the first that fails, include a successful
-// response, which may have answered the pending request or its retry.
+// answers reports whether the frames a json.Decoder reads from input,
+// up to the first that fails, include a successful response, which may
+// have answered the pending request or its retry. The session's read
+// loop decodes a subset of those frames: it also stops at a line
+// holding two objects, or one object spread over lines.
 func answers(input []byte) bool {
 	dec := json.NewDecoder(bytes.NewReader(input))
 	for {

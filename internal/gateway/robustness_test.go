@@ -8,9 +8,11 @@ import (
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/gateway"
 	"repro/internal/permissions"
 )
 
@@ -97,6 +99,39 @@ func TestSlowIdentifyTimesOut(t *testing.T) {
 	}
 }
 
+// TestCloseCutsHandshakeShort: Close must not wait out the 5 s identify
+// deadline of a connection that never identifies. With one admission
+// slot, two silent connections race for it; the one shed shows that
+// the other holds the slot in its handshake.
+func TestCloseCutsHandshakeShort(t *testing.T) {
+	r := newServerRig(t, permissions.ViewChannel)
+	r.srv.SetLimits(gateway.Limits{MaxSessions: 1})
+	shed := make(chan struct{}, 2)
+	var readers sync.WaitGroup
+	defer readers.Wait()
+	for i := 0; i < 2; i++ {
+		conn := dialRaw(t, r.srv.Addr())
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			if line, _ := bufio.NewReader(conn).ReadString('\n'); strings.Contains(line, gateway.ErrShedding) {
+				shed <- struct{}{}
+			}
+		}()
+	}
+	select {
+	case <-shed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("neither silent connection was shed")
+	}
+	start := time.Now()
+	r.srv.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v with a connection in its handshake", took)
+	}
+}
+
 // FuzzFrameDecode writes arbitrary bytes to a fresh raw connection,
 // either as its first bytes or after a valid identify line, closes the
 // connection's write side and reads the server's replies until it
@@ -111,6 +146,23 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte(`{"op":"mystery"}`+"\n"), true)
 	f.Add([]byte(`{"op":"request","id":1,"method":"mystery","args":{}}`+"\n"), true)
 	f.Add([]byte(`{"op":"request","id":2,"method":"send_message","args":{"channel_id":"1","content":"`+strings.Repeat("A", 64<<10)+`"}}`+"\n"), true)
+	// Escapes, and lines the hand decoder leaves to encoding/json.
+	for _, line := range []string{
+		`{"op":"request","id":3,"method":"send_message","args":{"channel_id":"1","content":"\"\\ \u003c\u003e\u0026 \u0000\u001f \u2028\u2029 \ud83d\ude00 \ud800"}}`,
+		"{\"op\":\"request\",\"id\":4,\"method\":\"guilds\",\"error\":\"bad \xff utf8 <>&\"}",
+		`{"OP":"heartbeat","Seq":1}`,
+		`{"op":"heartbeat","op":"heartbeat","seq":1}`,
+		`{"op":"heartbeat","extra":{"deep":[null]}}`,
+		`{"op":null,"seq":null}`,
+		`{"op":"heartbeat","seq":1e3}`,
+		`{"op":"heartbeat","seq":1.5}`,
+		`{"op":"request","id":5,"method":"history","args":{"channel_id":"1","limit":{"nested":[1,{"x":"}"}]}}}`,
+		`{"op":"heartbeat","seq":1}garbage`,
+		`{"op":"heartbeat","seq":1}{"op":"heartbeat","seq":2}`,
+		"\n \r\n" + `{"op":"heartbeat","seq":1}` + "\n",
+	} {
+		f.Add([]byte(line+"\n"), true)
+	}
 	r := newRig(f, permissions.ViewChannel|permissions.SendMessages)
 	f.Fuzz(func(t *testing.T, data []byte, identify bool) {
 		conn := dialRaw(t, r.srv.Addr())

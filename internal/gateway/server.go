@@ -22,11 +22,12 @@ type Server struct {
 	p  *platform.Platform
 	ln net.Listener
 
-	mu       sync.Mutex
-	sessions map[*session]struct{}
-	seenBots map[platform.ID]bool // for distinguishing reconnects
-	closed   bool
-	wg       sync.WaitGroup
+	mu         sync.Mutex
+	sessions   map[*session]struct{}
+	handshakes map[net.Conn]struct{} // accepted, not yet a session
+	seenBots   map[platform.ID]bool  // for distinguishing reconnects
+	closed     bool
+	wg         sync.WaitGroup
 
 	intercept func(bot *platform.User, method string, args map[string]any) error
 	faults    FaultPolicy
@@ -191,6 +192,7 @@ func NewServer(p *platform.Platform, addr string) (*Server, error) {
 		p:           p,
 		ln:          ln,
 		sessions:    make(map[*session]struct{}),
+		handshakes:  make(map[net.Conn]struct{}),
 		seenBots:    make(map[platform.ID]bool),
 		tenants:     make(map[platform.ID]*bucket),
 		tenantIdent: make(map[platform.ID]*bucket),
@@ -206,7 +208,8 @@ func NewServer(p *platform.Platform, addr string) (*Server, error) {
 // Addr returns the listening address, e.g. to hand to bot clients.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops accepting and tears down every session.
+// Close stops accepting, closes every connection still in its
+// handshake, and tears down every session.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -218,8 +221,15 @@ func (s *Server) Close() error {
 	for sess := range s.sessions {
 		sessions = append(sessions, sess)
 	}
+	handshakes := make([]net.Conn, 0, len(s.handshakes))
+	for conn := range s.handshakes {
+		handshakes = append(handshakes, conn)
+	}
 	s.mu.Unlock()
 	err := s.ln.Close()
+	for _, conn := range handshakes {
+		conn.Close()
+	}
 	for _, sess := range sessions {
 		sess.closeWith("server_closed")
 	}
@@ -234,6 +244,14 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.handshakes[conn] = struct{}{}
+		s.mu.Unlock()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -325,11 +343,16 @@ func (s *Server) tenantIdentBucket(owner platform.ID) *bucket {
 // write deadline. Only pre-session handshake errors and shed refusals
 // use it; established sessions write through their writer goroutine.
 func writeFrame(conn net.Conn, f Frame, timeout time.Duration) error {
+	b, err := AppendFrame(nil, &f)
+	if err != nil {
+		return err
+	}
 	if timeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(timeout))
 		defer conn.SetWriteDeadline(time.Time{})
 	}
-	return json.NewEncoder(conn).Encode(f)
+	_, err = conn.Write(b)
+	return err
 }
 
 // session is one authenticated bot connection, served by two
@@ -391,7 +414,6 @@ func (sess *session) reason() string {
 // flood of dispatches can never starve a response or heartbeat ack.
 func (sess *session) writeLoop() {
 	bw := bufio.NewWriter(deadlineWriter{sess.conn, sess.limits.WriteTimeout})
-	enc := json.NewEncoder(bw)
 	for {
 		f, ok := sess.next(true)
 		if !ok {
@@ -399,7 +421,12 @@ func (sess *session) writeLoop() {
 		}
 		var frames, events int64
 		for ok {
-			if err := enc.Encode(f); err != nil {
+			// A frame that fits in the buffer is encoded in place.
+			b, err := AppendFrame(bw.AvailableBuffer(), &f)
+			if err == nil {
+				_, err = bw.Write(b)
+			}
+			if err != nil {
 				sess.closeWith("write_error")
 				return
 			}
@@ -573,7 +600,12 @@ func (s *Server) throttled(sess *session) (time.Duration, bool) {
 
 func (s *Server) serve(conn net.Conn) {
 	defer conn.Close()
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	defer func() {
+		s.mu.Lock()
+		delete(s.handshakes, conn)
+		s.mu.Unlock()
+	}()
+	fr := NewFrameReader(conn)
 
 	limits, reason, retryAfter, ok := s.admit()
 	if !ok {
@@ -587,7 +619,7 @@ func (s *Server) serve(conn net.Conn) {
 	// First frame must identify within a deadline.
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var hello Frame
-	if err := dec.Decode(&hello); err != nil {
+	if err := fr.ReadFrame(&hello); err != nil {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
@@ -635,6 +667,7 @@ func (s *Server) serve(conn net.Conn) {
 		return
 	}
 	s.sessions[sess] = struct{}{}
+	delete(s.handshakes, conn)
 	s.cConnections.Inc()
 	if s.seenBots[bot.ID] {
 		s.cReconnects.Inc()
@@ -690,14 +723,14 @@ func (s *Server) serve(conn net.Conn) {
 	}()
 
 	tenant := s.tenantBucket(bot.OwnerID)
+	var f Frame
 	for {
 		// Heartbeat liveness: a session silent past the timeout is
 		// closed, freeing its admission slot for a live client.
 		if limits.HeartbeatTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(limits.HeartbeatTimeout))
 		}
-		var f Frame
-		if err := dec.Decode(&f); err != nil {
+		if err := fr.ReadFrame(&f); err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				s.cReaped.Inc()
 				sess.closeWith("heartbeat_timeout")

@@ -38,7 +38,8 @@ func TestWireTranscript(t *testing.T) {
 		identify bool     // write a valid identify line first
 		writes   []string // each goes out in one Write
 		want     []reply
-		hangup   bool // the server closes the connection after the replies
+		then     []string // written once every wanted reply has been read
+		hangup   bool     // the server closes the connection after the replies
 	}{
 		{
 			name:   "bad_token",
@@ -90,6 +91,30 @@ func TestWireTranscript(t *testing.T) {
 				{op: gateway.OpResponse, id: 12, err: "gateway: unknown method mystery"},
 				{op: gateway.OpResponse, id: 13, err: platform.ErrNotFound.Error()}},
 		},
+		{
+			name:     "request_split_across_writes",
+			identify: true,
+			writes:   []string{`{"op":"request","id":21,"met`, `hod":"guilds","args":{}}` + "\n"},
+			want:     []reply{ready, {op: gateway.OpResponse, id: 21, ok: true}},
+		},
+		{
+			name:     "blank_lines_between_frames",
+			identify: true,
+			writes:   []string{"\n\n" + request(31, gateway.MethodGuilds) + " \r\n\t\n\n" + request(32, "mystery")},
+			want: []reply{ready,
+				{op: gateway.OpResponse, id: 31, ok: true},
+				{op: gateway.OpResponse, id: 32, err: "gateway: unknown method mystery"}},
+		},
+		{
+			// One frame per line: a second object on the line is a
+			// decode error, which closes the session.
+			name:     "two_objects_on_one_line",
+			identify: true,
+			writes:   []string{request(41, gateway.MethodGuilds)},
+			want:     []reply{ready, {op: gateway.OpResponse, id: 41, ok: true}},
+			then:     []string{`{"op":"heartbeat","seq":1}{"op":"heartbeat","seq":2}` + "\n"},
+			hangup:   true,
+		},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -124,6 +149,11 @@ func TestWireTranscript(t *testing.T) {
 				}
 				if f.RetryAfterMS < want.retryMin || (want.retryMin == 0 && f.RetryAfterMS != 0) {
 					t.Errorf("reply %d retry_after_ms = %d, want at least %d (0: absent)", i, f.RetryAfterMS, want.retryMin)
+				}
+			}
+			for _, w := range row.then {
+				if _, err := conn.Write([]byte(w)); err != nil {
+					t.Fatalf("write %q: %v", w, err)
 				}
 			}
 			if row.hangup {

@@ -6,6 +6,7 @@
 package leakcheck
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -21,12 +22,18 @@ const grace = 5 * time.Second
 // Main runs the package's tests, then waits up to 5 s for every
 // goroutine started since it was called to exit. If any is left, it
 // names each by the frame that created it and exits with status 1.
+//
+// A fuzzing run (go test -fuzz) is not checked: the fuzzing engine
+// starts an os/signal goroutine that lives as long as the process.
 func Main(m *testing.M) {
 	before := make(map[string]bool)
 	for _, g := range goroutines() {
 		before[g.id] = true
 	}
 	code := m.Run()
+	if fuzzing() {
+		os.Exit(code)
+	}
 	left := leftovers(before, grace)
 	if len(left) > 0 {
 		fmt.Fprintf(os.Stderr, "leakcheck: %d goroutines still running %v after the tests:\n", len(left), grace)
@@ -38,6 +45,13 @@ func Main(m *testing.M) {
 		}
 	}
 	os.Exit(code)
+}
+
+// fuzzing reports whether go test -fuzz runs the binary, as the
+// coordinator or as a worker, which is started with the same flags.
+func fuzzing() bool {
+	f := flag.Lookup("test.fuzz")
+	return f != nil && f.Value.String() != ""
 }
 
 type goroutine struct {

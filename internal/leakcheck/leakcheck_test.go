@@ -1,6 +1,7 @@
 package leakcheck
 
 import (
+	"flag"
 	"strings"
 	"testing"
 	"time"
@@ -32,5 +33,19 @@ func TestLeftoversNamesCreator(t *testing.T) {
 	close(release)
 	if left := leftovers(before, time.Second); len(left) != 0 {
 		t.Errorf("leftovers after release = %+v, want none", left)
+	}
+}
+
+// TestFuzzingRunIsNotChecked: Main skips the check when the flag that
+// go test -fuzz sets is set, and only then.
+func TestFuzzingRunIsNotChecked(t *testing.T) {
+	defer flag.Set("test.fuzz", flag.Lookup("test.fuzz").Value.String())
+	for _, pattern := range []string{"", "^FuzzX$"} {
+		if err := flag.Set("test.fuzz", pattern); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fuzzing(), pattern != ""; got != want {
+			t.Errorf("fuzzing() = %v with -test.fuzz=%q, want %v", got, pattern, want)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package loadgen
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
@@ -145,7 +144,11 @@ func stallClient(ctx context.Context, addr, token string) {
 		return
 	}
 	defer conn.Close()
-	if err := json.NewEncoder(conn).Encode(gateway.Frame{Op: gateway.OpIdentify, Token: token}); err != nil {
+	identify, err := gateway.AppendFrame(nil, &gateway.Frame{Op: gateway.OpIdentify, Token: token})
+	if err != nil {
+		return
+	}
+	if _, err := conn.Write(identify); err != nil {
 		return
 	}
 	// Consume the ready frame so the session is fully established, then

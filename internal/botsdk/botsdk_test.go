@@ -204,6 +204,66 @@ func TestDispatchFanOutAndHandlerOrder(t *testing.T) {
 	}
 }
 
+// TestHandlerRegisteredInHandlerRunsFromNextEvent registers a handler
+// from inside a handler while a second goroutine keeps registering
+// handlers: the new handler must miss the event it was registered
+// during and run for every later one, after the handlers before it.
+func TestHandlerRegisteredInHandlerRunsFromNextEvent(t *testing.T) {
+	registered := make(chan struct{})
+	srv := newScripted(t, func(conn net.Conn, dec *json.Decoder, enc *json.Encoder) {
+		if !acceptIdentify(t, dec, enc) {
+			return
+		}
+		select {
+		case <-registered:
+		case <-time.After(5 * time.Second):
+		}
+		for _, content := range []string{"m1", "m2", "m3"} {
+			enc.Encode(gateway.Frame{Op: gateway.OpDispatch, Type: "MESSAGE_CREATE",
+				Event: &gateway.WireEvent{Message: &gateway.WireMessage{ID: content, Content: content}}})
+		}
+		var f gateway.Frame
+		dec.Decode(&f)
+	})
+	sess, err := Dial(srv.ln.Addr().String(), "tok", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	got := make(chan string, 16)
+	record := func(who string) func(*Session, *Message) {
+		return func(_ *Session, m *Message) { got <- who + ":" + m.Content }
+	}
+	sess.OnMessage(record("first"))
+	sess.OnMessage(func(s *Session, m *Message) {
+		if m.Content == "m1" {
+			s.OnMessage(record("late"))
+		}
+	})
+	var others sync.WaitGroup
+	others.Add(1)
+	go func() {
+		defer others.Done()
+		for i := 0; i < 100; i++ {
+			sess.On("MESSAGE_CREATE", func(*Session, Event) {})
+		}
+	}()
+	close(registered)
+	want := []string{"first:m1", "first:m2", "late:m2", "first:m3", "late:m3"}
+	for i, w := range want {
+		select {
+		case g := <-got:
+			if g != w {
+				t.Fatalf("call %d = %s, want %s (want %v)", i, g, w, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("only %d of %d handler calls: want %v", i, len(want), want)
+		}
+	}
+	others.Wait()
+}
+
 func TestConcurrentRequestsMultiplex(t *testing.T) {
 	srv := newScripted(t, func(conn net.Conn, dec *json.Decoder, enc *json.Encoder) {
 		if !acceptIdentify(t, dec, enc) {

@@ -110,7 +110,7 @@ type Session struct {
 
 	mu       sync.Mutex
 	pending  map[int64]chan gateway.Frame
-	handlers map[string][]Handler
+	handlers map[string][]Handler // On replaces a slice, never writes one
 	closed   bool
 
 	done   chan struct{}
@@ -187,10 +187,13 @@ func (s *Session) BotName() string { return s.botName }
 func (s *Session) InitialGuilds() []string { return append([]string(nil), s.guilds...) }
 
 // On registers a handler for an event type (e.g. "MESSAGE_CREATE").
+// A handler registered from inside a handler runs from the next event
+// on.
 func (s *Session) On(eventType string, h Handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.handlers[eventType] = append(s.handlers[eventType], h)
+	hs := s.handlers[eventType]
+	s.handlers[eventType] = append(hs[:len(hs):len(hs)], h)
 }
 
 // OnMessage registers a MESSAGE_CREATE convenience handler.
@@ -303,7 +306,7 @@ func (s *Session) dispatch(f gateway.Frame) {
 		}
 	}
 	s.mu.Lock()
-	hs := append([]Handler(nil), s.handlers[e.Type]...)
+	hs := s.handlers[e.Type]
 	s.mu.Unlock()
 	for _, h := range hs {
 		h(s, e)

@@ -117,6 +117,60 @@ func TestSendAndHistoryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameLargerThanDrain sends a 256 KiB message, larger than a
+// writer's drain and its pooled buffer and 64 times the readers' 4 KiB
+// buffers, with bytes of every kind the codec escapes: the server must
+// read the request line whole, a sibling session must receive the
+// message byte for byte, and History must return it.
+func TestFrameLargerThanDrain(t *testing.T) {
+	r := newRig(t, permissions.SendMessages|permissions.ViewChannel|permissions.ReadMessageHistory)
+	sibBot, err := r.p.RegisterBot(r.owner.ID, "sibling")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.p.InstallBot(r.owner.ID, r.guild.ID, sibBot.ID, permissions.ViewChannel); err != nil {
+		t.Fatal(err)
+	}
+	sib, err := botsdk.Dial(r.srv.Addr(), sibBot.Token, botsdk.Options{RequestTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sib.Close()
+	got := make(chan string, 1)
+	sib.OnMessage(func(_ *botsdk.Session, m *botsdk.Message) { got <- m.Content })
+
+	unit := "plain text, <html> & \"quotes\" \\ tab\t newline\n \x01 caf\u00e9 \u2028 \U0001F600 "
+	content := strings.Repeat(unit, (256<<10)/len(unit)+1)
+	chID := r.general.ID.String()
+	if _, err := r.sess.Send(chID, content); err != nil {
+		t.Fatal(err)
+	}
+	same := func(what, s string) {
+		t.Helper()
+		if s != content {
+			i := 0
+			for i < len(s) && i < len(content) && s[i] == content[i] {
+				i++
+			}
+			t.Errorf("%s: %d bytes, want %d; first difference at byte %d", what, len(s), len(content), i)
+		}
+	}
+	select {
+	case s := <-got:
+		same("sibling's OnMessage", s)
+	case <-time.After(5 * time.Second):
+		t.Fatal("the sibling session received nothing")
+	}
+	msgs, err := r.sess.History(chID, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(msgs) != 1 {
+		t.Fatalf("History returned %d messages, want 1", len(msgs))
+	}
+	same("History", msgs[0].Content)
+}
+
 func TestPermissionDeniedSurfacesToSDK(t *testing.T) {
 	r := newRig(t, permissions.ViewChannel) // no send-messages of its own
 	// Installed bots still inherit @everyone, so strip send-messages

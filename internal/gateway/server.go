@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -47,6 +46,7 @@ type Server struct {
 	cConnections *obs.Counter
 	cReconnects  *obs.Counter
 	cEventsOut   *obs.Counter
+	cWrites      *obs.Counter
 	cRequests    *obs.Counter
 	cShed        *obs.Counter
 	cShedBy      map[string]*obs.Counter
@@ -71,6 +71,7 @@ func (s *Server) SetObs(r *obs.Registry) {
 	s.cConnections = reg.Counter("gateway_connections_total")
 	s.cReconnects = reg.Counter("gateway_reconnects_total")
 	s.cEventsOut = reg.Counter("gateway_events_out_total")
+	s.cWrites = reg.Counter("gateway_socket_writes_total")
 	s.cRequests = reg.Counter("gateway_requests_total")
 	s.cShed = reg.Counter("gateway_sessions_shed_total")
 	s.cShedBy = make(map[string]*obs.Counter, len(ShedReasons))
@@ -373,8 +374,9 @@ type session struct {
 	events  chan platform.Event
 	done    chan struct{}
 
-	sent    atomic.Int64 // frames a successful flush wrote to the socket
+	sent    atomic.Int64 // frames a successful write sent to the socket
 	dropped atomic.Int64 // events the slow-consumer policy discarded
+	writes  int64        // the writer's socket writes not yet counted on cWrites
 
 	rate bucket
 
@@ -406,49 +408,64 @@ func (sess *session) reason() string {
 	return sess.closeReason
 }
 
+// drainSize is the size past which a drain takes no further frame.
+// drainBufs keeps drain buffers between drains, so an idle session
+// holds none; one that an oversized frame grew past 4*drainSize is left
+// to the collector.
+const drainSize = 32 << 10
+
+var drainBufs = sync.Pool{New: func() any { b := make([]byte, 0, 2*drainSize); return &b }}
+
 // writeLoop is the session's single socket writer. It blocks for one
-// frame, then drains every frame already queued into one buffered
-// writer, flushing once the queues are empty or the buffer is half
-// full: a burst of frames costs one socket write, not one per frame.
-// Control frames are taken before event frames at every step, so a
-// flood of dispatches can never starve a response or heartbeat ack.
+// frame, then appends every frame already queued to one pooled buffer
+// until the queues are empty or the buffer holds drainSize bytes, and
+// sends the buffer in one socket write under a fresh WriteTimeout
+// deadline. Control frames are taken before event frames at every step,
+// so a flood of dispatches can never starve a response or heartbeat ack.
 func (sess *session) writeLoop() {
-	bw := bufio.NewWriter(deadlineWriter{sess.conn, sess.limits.WriteTimeout})
 	for {
 		f, ok := sess.next(true)
 		if !ok {
 			return
 		}
+		bp := drainBufs.Get().(*[]byte)
+		b := (*bp)[:0]
 		var frames, events int64
+		var err error
 		for ok {
-			// A frame that fits in the buffer is encoded in place.
-			b, err := AppendFrame(bw.AvailableBuffer(), &f)
-			if err == nil {
-				_, err = bw.Write(b)
-			}
-			if err != nil {
-				sess.closeWith("write_error")
-				return
+			if b, err = AppendFrame(b, &f); err != nil {
+				break
 			}
 			frames++
 			if f.Op == OpDispatch {
 				events++
 			}
-			if bw.Buffered() >= bw.Size()/2 {
+			if len(b) >= drainSize {
 				break
 			}
 			f, ok = sess.next(false)
 		}
-		if err := bw.Flush(); err != nil {
+		if err == nil {
+			sess.conn.SetWriteDeadline(time.Now().Add(sess.limits.WriteTimeout))
+			_, err = sess.conn.Write(b)
+		}
+		if cap(b) <= 4*drainSize {
+			*bp = b
+			drainBufs.Put(bp)
+		}
+		if err != nil {
 			sess.closeWith("write_error")
 			return
 		}
 		sess.sent.Add(frames)
-		// Read the shared counter only once an event went out: SetObs
-		// may swap it after the ready frame was written, and only an
+		sess.writes++
+		// Read the shared counters only once an event went out: SetObs
+		// may swap them after the ready frame was written, and only an
 		// event published since orders that swap before this read.
 		if events > 0 {
 			sess.srv.cEventsOut.Add(events)
+			sess.srv.cWrites.Add(sess.writes)
+			sess.writes = 0
 		}
 	}
 }
@@ -482,20 +499,6 @@ func (sess *session) next(wait bool) (Frame, bool) {
 
 func (sess *session) dispatchFrame(e platform.Event) Frame {
 	return Frame{Op: OpDispatch, Type: string(e.Type), Event: encodeEvent(sess.srv.p, e)}
-}
-
-// deadlineWriter gives every socket write a fresh deadline: the flush
-// that ends a drain, and any write bufio makes early because a frame
-// overflowed the buffer. Nothing else writes to a session's socket
-// between drains, so the deadline is never cleared.
-type deadlineWriter struct {
-	conn    net.Conn
-	timeout time.Duration
-}
-
-func (w deadlineWriter) Write(p []byte) (int, error) {
-	w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	return w.conn.Write(p)
 }
 
 // send enqueues a control frame (ready, response, ack, error), blocking
@@ -598,6 +601,10 @@ func (s *Server) throttled(sess *session) (time.Duration, bool) {
 	return sess.rate.take(rps, burst)
 }
 
+// identifyMax bounds the identify line, the one frame a peer sends
+// before it has shown a token.
+const identifyMax = 64 << 10
+
 func (s *Server) serve(conn net.Conn) {
 	defer conn.Close()
 	defer func() {
@@ -616,12 +623,15 @@ func (s *Server) serve(conn net.Conn) {
 	}
 	defer s.releaseAdmit()
 
-	// First frame must identify within a deadline.
+	// First frame must identify within a deadline, on a line of at most
+	// identifyMax bytes: it is read before the token is checked.
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	fr.max = identifyMax
 	var hello Frame
 	if err := fr.ReadFrame(&hello); err != nil {
 		return
 	}
+	fr.max = 0
 	conn.SetReadDeadline(time.Time{})
 	if hello.Op != OpIdentify {
 		writeFrame(conn, Frame{Op: OpError, Err: "expected identify"}, limits.WriteTimeout)
@@ -697,6 +707,7 @@ func (s *Server) serve(conn net.Conn) {
 		s.mu.Lock()
 		delete(s.sessions, sess)
 		s.gSessions.Add(-1)
+		s.cWrites.Add(sess.writes) // the writes after its last event
 		s.mu.Unlock()
 		s.p.Unsubscribe(sess.sub)
 		if d := sess.dropped.Load(); d > 0 {

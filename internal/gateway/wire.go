@@ -12,8 +12,9 @@
 // Each frame is one JSON object on one line, ended by '\n'. Lines that
 // hold only whitespace are skipped. Two objects on one line, or one
 // object spread over several lines, is a decode error, and the peer
-// that reads it closes the session. Both ends of the wire use the one
-// codec in this file:
+// that reads it closes the session. The server reads a connection's
+// first line, its identify frame, under a 64 KiB cap; later lines have
+// none. Both ends of the wire use the one codec in this file:
 //
 //   - AppendFrame writes a frame by hand. Its bytes are exactly
 //     json.Marshal's followed by '\n', escapes included; only the Args
@@ -31,6 +32,7 @@ import (
 	"bufio"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"io"
 	"strconv"
 	"unicode"
@@ -203,8 +205,12 @@ func decodeData(s string) []byte { b, _ := base64.StdEncoding.DecodeString(s); r
 
 // FrameReader reads frames from a connection, one per line.
 type FrameReader struct {
-	br *bufio.Reader
+	br  *bufio.Reader
+	max int // when positive, the longest line ReadFrame takes
 }
+
+// errLineTooLong refuses a line longer than FrameReader.max.
+var errLineTooLong = errors.New("gateway: frame line too long")
 
 // NewFrameReader buffers r and reads frames from it.
 func NewFrameReader(r io.Reader) *FrameReader {
@@ -234,12 +240,16 @@ func (r *FrameReader) ReadFrame(f *Frame) error {
 }
 
 // longLine gathers a line longer than the reader's buffer, of which
-// part is the start.
+// part is the start. With r.max set it reads at most one buffer past
+// r.max before it refuses the line.
 func (r *FrameReader) longLine(part []byte) ([]byte, error) {
 	line := append([]byte(nil), part...)
 	for {
 		part, err := r.br.ReadSlice('\n')
 		line = append(line, part...)
+		if r.max > 0 && len(line) > r.max {
+			return nil, errLineTooLong
+		}
 		if err != bufio.ErrBufferFull {
 			return line, err
 		}

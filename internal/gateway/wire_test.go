@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -222,6 +225,84 @@ func TestFrameReaderLines(t *testing.T) {
 	if err := r.ReadFrame(&f); err != io.EOF {
 		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
+}
+
+// readCounter counts the bytes the server reads from its end of a
+// connection.
+type readCounter struct {
+	net.Conn
+	n atomic.Int64
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// TestIdentifyLineIsBounded: a raw connection that sends megabytes
+// with no newline before identifying is closed once the server has read
+// at most identifyMax and one more 4 KiB reader buffer, long before the
+// 5 s identify deadline.
+func TestIdentifyLineIsBounded(t *testing.T) {
+	p := platform.New(platform.Options{})
+	defer p.Close()
+	srv, err := NewServer(p, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// Serve the server's end of a fresh pair as the accept loop would,
+	// through a counter.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &readCounter{Conn: conn}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.serve(counted)
+	}()
+
+	const total = 16 << 20
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		chunk := bytes.Repeat([]byte("x"), 64<<10)
+		for sent := 0; sent < total; sent += len(chunk) {
+			if _, err := client.Write(chunk); err != nil {
+				return // the server closed the connection
+			}
+		}
+		client.(*net.TCPConn).CloseWrite()
+	}()
+	start := time.Now()
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the server still reads the unterminated line after 10s")
+	}
+	t.Logf("closed after %v and %d bytes read", time.Since(start).Round(time.Millisecond), counted.n.Load())
+	if n, limit := counted.n.Load(), int64(identifyMax+4096); n > limit {
+		t.Errorf("the server read %d bytes of an unterminated identify line, want at most %d", n, limit)
+	}
+	client.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := client.Read(make([]byte, 1)); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("the client's connection is still open: %v", err)
+	}
+	client.Close()
+	<-wrote
 }
 
 // recordDispatches serves one bot through a real gateway and records

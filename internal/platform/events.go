@@ -38,7 +38,6 @@ type Event struct {
 // goroutine calls fn for each event, in publish order, under the
 // subscription's lock, so no call runs after Unsubscribe returns.
 type Subscription struct {
-	id int
 	fn func(Event)
 
 	mu     sync.Mutex
@@ -62,12 +61,13 @@ type bus struct {
 	cond    *sync.Cond
 	queue   []Event
 	stopped bool
-	nextID  int
-	subs    map[int]*Subscription
+	// subs is never written after it is stored: Subscribe and
+	// Unsubscribe replace it, so run reads it without copying.
+	subs []*Subscription
 }
 
 func newBus() *bus {
-	b := &bus{subs: make(map[int]*Subscription)}
+	b := &bus{}
 	b.cond = sync.NewCond(&b.mu)
 	go b.run()
 	return b
@@ -84,12 +84,8 @@ func (b *bus) run() {
 			b.mu.Unlock()
 			return
 		}
-		batch := b.queue
+		batch, subs := b.queue, b.subs
 		b.queue = nil
-		subs := make([]*Subscription, 0, len(b.subs))
-		for _, s := range b.subs {
-			subs = append(subs, s)
-		}
 		b.mu.Unlock()
 		for _, e := range batch {
 			if e.Type == eventFlush {
@@ -118,9 +114,9 @@ func (b *bus) stop() {
 func (p *Platform) Subscribe(fn func(Event)) *Subscription {
 	p.bus.mu.Lock()
 	defer p.bus.mu.Unlock()
-	s := &Subscription{id: p.bus.nextID, fn: fn}
-	p.bus.nextID++
-	p.bus.subs[s.id] = s
+	s := &Subscription{fn: fn}
+	subs := p.bus.subs
+	p.bus.subs = append(subs[:len(subs):len(subs)], s)
 	return s
 }
 
@@ -129,7 +125,13 @@ func (p *Platform) Subscribe(fn func(Event)) *Subscription {
 // is harmless.
 func (p *Platform) Unsubscribe(s *Subscription) {
 	p.bus.mu.Lock()
-	delete(p.bus.subs, s.id)
+	subs := make([]*Subscription, 0, len(p.bus.subs))
+	for _, o := range p.bus.subs {
+		if o != s {
+			subs = append(subs, o)
+		}
+	}
+	p.bus.subs = subs
 	p.bus.mu.Unlock()
 	s.mu.Lock()
 	s.closed = true

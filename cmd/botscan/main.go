@@ -81,7 +81,6 @@ func main() {
 		ckptDir     = flag.String("checkpoint-dir", "", "write crash-safe progress snapshots into this directory")
 		ckptEvery   = flag.Int("checkpoint-every", 25, "also snapshot after this many freshly settled bots (stage boundaries always snapshot)")
 		resumeRun   = flag.String("resume", "", "resume a checkpointed run: a run ID, or 'latest' (requires -checkpoint-dir)")
-		breakers    = flag.Bool("breakers", false, "wrap scraper/code-host/gateway transports in per-endpoint-class circuit breakers")
 		traceOut    = flag.String("trace-out", "", "write per-bot trace artifacts (spans.jsonl, trace.json, profile.json) into this directory")
 		traceLevel  = flag.String("trace-level", "", "per-bot tracing level: off, bots, or full (defaults to full when -trace-out is set)")
 		stageDL     = flag.Duration("stage-deadline", 0, "soft deadline over the pipelined stages (0 disables; a stalled pipeline is dumped once and cancelled)")
@@ -109,8 +108,7 @@ func main() {
 	}
 
 	// The whole run configuration is one options literal; NewAuditor
-	// resolves profile names, directories, and breaker configs into
-	// live subsystems.
+	// resolves profile names and directories into live subsystems.
 	reg := obs.NewRegistry()
 	opts := core.Options{
 		Seed:    *seed,
@@ -122,7 +120,6 @@ func main() {
 		Exec:       core.ExecOptions{Shards: *shards, StageSoftDeadline: *stageDL},
 		Faults:     core.FaultOptions{Profile: *faultProf, Seed: *faultSeed},
 		Checkpoint: core.CheckpointOptions{Dir: *ckptDir, Every: *ckptEvery, Resume: *resumeRun},
-		Breakers:   core.BreakerOptions{Enabled: *breakers},
 		Obs:        reg,
 	}
 	if *fullScale {
@@ -196,9 +193,6 @@ func main() {
 	}
 	if *ckptDir != "" {
 		logger.Info("checkpointing enabled", "dir", *ckptDir, "every", *ckptEvery, "resume", *resumeRun)
-	}
-	if *breakers {
-		logger.Info("circuit breakers enabled")
 	}
 	logger.Info("ecosystem generated",
 		"bots", len(a.Ecosystem().Bots), "listing", a.ListingURL(), "metrics", a.MetricsURL())

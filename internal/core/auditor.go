@@ -41,7 +41,6 @@ import (
 	bottrace "repro/internal/obs/trace"
 	"repro/internal/platform"
 	"repro/internal/report"
-	"repro/internal/retry"
 	"repro/internal/scraper"
 	"repro/internal/synth"
 	"repro/internal/traceability"
@@ -130,21 +129,6 @@ type FaultOptions struct {
 	Injector *faults.Injector
 }
 
-// BreakerOptions configures per-endpoint-class circuit breakers around
-// the scraper, code-host, and gateway transports: persistently failing
-// endpoints short-circuit (and quarantine their bots fast) instead of
-// burning full retry schedules.
-type BreakerOptions struct {
-	// Enabled builds a breaker set from Config, reporting to the
-	// auditor's registry and journal.
-	Enabled bool
-	// Config tunes the breakers built when Enabled; zero uses the
-	// retry package defaults.
-	Config retry.BreakerConfig
-	// Set overrides Enabled/Config with a prebuilt breaker set.
-	Set *retry.BreakerSet
-}
-
 // Options configures an Auditor. Identity fields (Seed, NumBots,
 // Ecosystem) sit at the top level; everything else is grouped by
 // subsystem so cmd/botscan collapses to one constructor call.
@@ -167,8 +151,6 @@ type Options struct {
 	// Checkpoint enables crash-safe snapshots and resume; see
 	// CheckpointOptions.
 	Checkpoint CheckpointOptions
-	// Breakers configures transport circuit breakers.
-	Breakers BreakerOptions
 	// Trace configures per-bot tracing (off by default: stage spans
 	// and totals only).
 	Trace TraceOptions
@@ -186,12 +168,11 @@ type Options struct {
 
 // Auditor owns the simulated ecosystem and its services.
 type Auditor struct {
-	opts     Options
-	eco      *synth.Ecosystem
-	obs      *obs.Registry
-	journal  *journal.Journal
-	faults   *faults.Injector
-	breakers *retry.BreakerSet
+	opts    Options
+	eco     *synth.Ecosystem
+	obs     *obs.Registry
+	journal *journal.Journal
+	faults  *faults.Injector
 
 	listingSrv *listing.Server
 	hostSrv    *codehost.Server
@@ -279,8 +260,8 @@ type Results struct {
 const defaultShards = 8
 
 // NewAuditor generates the ecosystem, resolves every subsystem option
-// (fault profile → injector, checkpoint dir → store, breaker config →
-// breaker set), and starts all services.
+// (fault profile → injector, checkpoint dir → store), and starts all
+// services.
 func NewAuditor(opts Options) (*Auditor, error) {
 	if opts.Scrape.Timeout <= 0 {
 		opts.Scrape.Timeout = 500 * time.Millisecond
@@ -311,10 +292,6 @@ func NewAuditor(opts Options) (*Auditor, error) {
 			return nil, fmt.Errorf("core: fault profile: %w", err)
 		}
 		a.faults = faults.New(prof, opts.Faults.Seed, faults.Options{Obs: a.obs, Journal: opts.Journal})
-	}
-	a.breakers = opts.Breakers.Set
-	if a.breakers == nil && opts.Breakers.Enabled {
-		a.breakers = retry.NewBreakerSet(opts.Breakers.Config, retry.BreakerOptions{Obs: a.obs, Journal: opts.Journal})
 	}
 	if a.opts.Checkpoint.Store == nil && a.opts.Checkpoint.Dir != "" {
 		st, err := checkpoint.NewStore(a.opts.Checkpoint.Dir)
@@ -352,22 +329,20 @@ func NewAuditor(opts Options) (*Auditor, error) {
 	a.canarySvc.SetObs(a.obs)
 	a.canarySvc.SetJournal(opts.Journal)
 	if a.listClient, err = scraper.NewClient(scraper.ClientConfig{
-		BaseURL:  a.listingSrv.BaseURL(),
-		Timeout:  opts.Scrape.Timeout,
-		Solver:   opts.Scrape.Solver,
-		Obs:      a.obs,
-		Breakers: a.breakers,
+		BaseURL: a.listingSrv.BaseURL(),
+		Timeout: opts.Scrape.Timeout,
+		Solver:  opts.Scrape.Solver,
+		Obs:     a.obs,
 	}); err != nil {
 		a.Close()
 		return nil, err
 	}
 	// The code host imposes no defences; give it a generous timeout.
 	if a.codeClient, err = scraper.NewClient(scraper.ClientConfig{
-		BaseURL:  a.hostSrv.BaseURL(),
-		Timeout:  5 * time.Second,
-		Solver:   opts.Scrape.Solver,
-		Obs:      a.obs,
-		Breakers: a.breakers,
+		BaseURL: a.hostSrv.BaseURL(),
+		Timeout: 5 * time.Second,
+		Solver:  opts.Scrape.Solver,
+		Obs:     a.obs,
 	}); err != nil {
 		a.Close()
 		return nil, err
@@ -392,10 +367,6 @@ func (a *Auditor) Obs() *obs.Registry { return a.obs }
 // Journal returns the configured event journal (nil when disabled).
 func (a *Auditor) Journal() *journal.Journal { return a.journal }
 
-// Breakers returns the resolved circuit-breaker set (nil when
-// disabled).
-func (a *Auditor) Breakers() *retry.BreakerSet { return a.breakers }
-
 // Gateway returns the live gateway server, so a harness can flip its
 // Limits or point external traffic (loadgen personas) at its address.
 func (a *Auditor) Gateway() *gateway.Server { return a.gw }
@@ -411,10 +382,10 @@ func (a *Auditor) Platform() *platform.Platform { return a.plat }
 func (a *Auditor) SetResume(run string) { a.opts.Checkpoint.Resume = run }
 
 // SetJournal re-points every journal-emitting component — the auditor
-// itself, platform, gateway, canary service, fault injector, and
-// breaker set — at a new journal. A kill/resume harness uses it between
-// run segments after closing the crashed segment's journal and
-// reopening it with Resume; do not call it while a run is in flight.
+// itself, platform, gateway, canary service, and fault injector — at a
+// new journal. A kill/resume harness uses it between run segments
+// after closing the crashed segment's journal and reopening it with
+// Resume; do not call it while a run is in flight.
 func (a *Auditor) SetJournal(j *journal.Journal) {
 	a.journal = j
 	a.opts.Journal = j
@@ -428,7 +399,6 @@ func (a *Auditor) SetJournal(j *journal.Journal) {
 		a.canarySvc.SetJournal(j)
 	}
 	a.faults.SetJournal(j)
-	a.breakers.SetJournal(j)
 }
 
 // MetricsURL returns the Prometheus-style text exposition endpoint
@@ -502,7 +472,6 @@ func (a *Auditor) honeypotEnv() honeypot.Env {
 		Minter:   a.canarySvc.NewMinter("canary.invalid", nil),
 		Feed:     corpus.New(a.opts.Seed ^ 0xfeed),
 		Obs:      a.obs,
-		Breakers: a.breakers,
 	}
 }
 

@@ -338,21 +338,17 @@ func (a *Auditor) runSharded(r *run) error {
 		batches[w] = nil
 	}
 	cleanup()
-	if a.journal != nil {
-		evs := make([]journal.Event, 0, len(stats.Executed))
-		for si := range stats.Executed {
-			evs = append(evs, journal.Event{
-				Kind:      journal.KindShardDrained,
-				Component: "core",
-				RunID:     res.RunID,
-				Fields: map[string]any{
-					"shard":    si,
-					"executed": stats.Executed[si],
-					"stolen":   stats.Stolen[si],
-				},
-			})
-		}
-		a.journal.EmitBatch(evs)
+	for si := range stats.Executed {
+		a.journal.Emit(journal.Event{
+			Kind:      journal.KindShardDrained,
+			Component: "core",
+			RunID:     res.RunID,
+			Fields: map[string]any{
+				"shard":    si,
+				"executed": stats.Executed[si],
+				"stolen":   stats.Stolen[si],
+			},
+		})
 	}
 
 	if cause := context.Cause(pctx); cause != nil && errors.Is(cause, ErrStageStalled) {

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,7 +16,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/journal"
-	"repro/internal/retry"
 )
 
 // triggeredNames flattens the honeypot triggered set for comparison.
@@ -400,105 +397,64 @@ func TestStrictResumeFailsFast(t *testing.T) {
 	}
 }
 
-// TestBreakerFailFastDeterministic: a single persistently failing
-// detail endpoint trips the /bot endpoint-class breaker, the remaining
-// bots in the class fail fast on ErrBreakerOpen instead of burning
-// retry schedules, and — under a fixed fault seed and one shard — the
-// transition sequence and quarantine set replay identically.
-func TestBreakerFailFastDeterministic(t *testing.T) {
-	run := func() (trans []string, quarantine []string, res *Results) {
+// TestDeadDetailPageQuarantinesOnlyItsBot: one always-503 detail page
+// costs its own bot and nothing else. Bot 99 spends its first attempt
+// and its three transport retries, quarantines as an infrastructure
+// error, and the other 119 bots are collected; under a fixed fault
+// seed and one shard the quarantine set replays identically.
+func TestDeadDetailPageQuarantinesOnlyItsBot(t *testing.T) {
+	run := func() (quarantine []string, res *Results) {
 		prof, err := faults.Named("none")
 		if err != nil {
 			t.Fatal(err)
 		}
 		prof.PerEndpoint = map[string]faults.Rates{"/bot/99": {ServerError: 1}}
-		inj := faults.New(prof, 9, faults.Options{})
-
-		var mu sync.Mutex
-		bs := retry.NewBreakerSet(retry.BreakerConfig{
-			Window:      8,
-			MinSamples:  4,
-			FailureRate: 0.5,
-			OpenFor:     time.Hour, // never recovers within the run
-		}, retry.BreakerOptions{
-			Obs: obs.NewRegistry(),
-			OnTransition: func(key string, from, to retry.BreakerState) {
-				// Strip the listener host: the port changes run to run.
-				if i := strings.Index(key, " "); i >= 0 {
-					key = key[i:]
-				}
-				mu.Lock()
-				trans = append(trans, fmt.Sprintf("%s %s->%s", key, from, to))
-				mu.Unlock()
-			},
-		})
 		a, err := NewAuditor(Options{
 			Seed:    7,
 			NumBots: 120,
 			Honeypot: HoneypotOptions{
-				Sample: 4,
+				Sample: 1,
 				Settle: 200 * time.Millisecond,
 			},
-			Exec:     ExecOptions{Shards: 1}, // one bot at a time: deterministic breaker history
-			Faults:   FaultOptions{Injector: inj},
-			Breakers: BreakerOptions{Set: bs},
-			Obs:      obs.NewRegistry(),
+			Exec:   ExecOptions{Shards: 1},
+			Faults: FaultOptions{Injector: faults.New(prof, 9, faults.Options{})},
+			Obs:    obs.NewRegistry(),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer a.Close()
 		res = runAll(t, a)
-		// The breaker key embeds the listener address; blank the port so
-		// the two runs compare on substance.
+		// Errors name the listing URL; blank it so the two runs compare
+		// on substance.
 		addr := strings.TrimPrefix(a.ListingURL(), "http://")
 		for _, q := range res.Quarantined {
 			quarantine = append(quarantine,
 				strings.ReplaceAll(quarantineKey(q)+"/"+q.Err.Error(), addr, "HOST"))
 		}
 		sort.Strings(quarantine)
-		return trans, quarantine, res
+		return quarantine, res
 	}
 
-	t1, q1, res1 := run()
-	t2, q2, _ := run()
+	q1, res := run()
+	q2, _ := run()
 
-	if want := []string{" /bot closed->open"}; !reflect.DeepEqual(t1, want) {
-		t.Fatalf("breaker transitions = %v, want %v", t1, want)
+	if len(res.Quarantined) != 1 {
+		t.Fatalf("quarantined %v, want bot 99 alone", q1)
 	}
-	if !reflect.DeepEqual(t1, t2) {
-		t.Fatalf("breaker transitions differ between identical runs: %v vs %v", t1, t2)
+	if q := res.Quarantined[0]; q.Stage != "collect" || q.BotID != 99 || !isInfra(q.Err) {
+		t.Fatalf("quarantine = %s/%d (%v), want collect/99 with an infrastructure error", q.Stage, q.BotID, q.Err)
+	}
+	if len(res.Records) != 119 {
+		t.Errorf("%d records, want the other 119 bots", len(res.Records))
+	}
+	// The first attempt plus the scraper's 3 transport retries, all of
+	// them bot 99's.
+	if len(res.FaultLog) != 4 {
+		t.Fatalf("fault log has %d entries, want bot 99's 4 failed attempts", len(res.FaultLog))
 	}
 	if !reflect.DeepEqual(q1, q2) {
 		t.Fatalf("quarantine sets differ between identical runs:\n%v\nvs\n%v", q1, q2)
-	}
-
-	// Bot 99 exhausted real retries; everyone after it short-circuited.
-	failFast, found99 := 0, false
-	for _, q := range res1.Quarantined {
-		if q.Stage != "collect" {
-			continue
-		}
-		if q.BotID == 99 {
-			found99 = true
-		}
-		if strings.Contains(q.Err.Error(), retry.ErrBreakerOpen.Error()) {
-			failFast++
-			if !isInfra(q.Err) {
-				t.Errorf("breaker quarantine for bot %d is not an infrastructure error: %v", q.BotID, q.Err)
-			}
-		}
-	}
-	if !found99 {
-		t.Fatal("the always-503 bot 99 was not quarantined")
-	}
-	if failFast == 0 {
-		t.Fatal("no bot failed fast on the open breaker")
-	}
-	// Only bot 99's four attempts ever reached the network: the breaker
-	// kept every short-circuited bot out of the fault log entirely.
-	if len(res1.FaultLog) != 4 {
-		t.Fatalf("fault log has %d entries, want exactly bot 99's 4 failed attempts", len(res1.FaultLog))
 	}
 }
 

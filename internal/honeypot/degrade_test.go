@@ -22,7 +22,7 @@ type flakySolver struct {
 
 var errSolverDown = errors.New("solver service down")
 
-func (s *flakySolver) Solve(challenge string) (string, error) {
+func (s *flakySolver) Solve(_ context.Context, challenge string) (string, error) {
 	s.mu.Lock()
 	s.calls++
 	n := s.calls

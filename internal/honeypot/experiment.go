@@ -15,7 +15,6 @@ import (
 	"repro/internal/obs/trace"
 	"repro/internal/permissions"
 	"repro/internal/platform"
-	"repro/internal/retry"
 	"repro/internal/scraper"
 )
 
@@ -33,6 +32,20 @@ type Config struct {
 	// Solver "solves the reCAPTCHA" required to add a bot to a guild
 	// (§4.2); nil skips the step.
 	Solver scraper.Solver
+}
+
+// withDefaults fills the zero fields every experiment needs.
+func (cfg Config) withDefaults() Config {
+	if cfg.Personas <= 0 {
+		cfg.Personas = 5
+	}
+	if cfg.FeedMessages <= 0 {
+		cfg.FeedMessages = 25
+	}
+	if cfg.PollEvery <= 0 {
+		cfg.PollEvery = 10 * time.Millisecond
+	}
+	return cfg
 }
 
 // DefaultConfig returns the paper's parameters with test-friendly
@@ -88,12 +101,80 @@ type Env struct {
 	// Obs receives experiment counters and the settle-wait histogram;
 	// nil uses the process-default registry.
 	Obs *obs.Registry
-	// Breakers, when set, guards the gateway dial with a circuit
-	// breaker keyed "gateway <addr>": once the gateway is persistently
-	// unreachable, remaining experiments fail fast (and quarantine)
-	// instead of each paying the full dial timeout.
-	Breakers *retry.BreakerSet
 }
+
+// honeyGuild is the guild an experiment plays out in: an operator's
+// private guild, its general channel, and the personas who joined it
+// by invite. The isolated and the shared experiment build it alike,
+// with the same platform calls in the same order.
+type honeyGuild struct {
+	p        *platform.Platform
+	operator *platform.User
+	guild    *platform.Guild
+	general  *platform.Channel
+	personas []corpus.Persona
+	users    []*platform.User
+}
+
+// newHoneyGuild creates the operator, its private guild named guildTag
+// and the personas' memberships. The caller deletes the guild with
+// close; when newHoneyGuild fails it has already deleted any guild it
+// created.
+func newHoneyGuild(env Env, cfg Config, operator, guildTag string) (*honeyGuild, error) {
+	p := env.Platform
+	op := p.CreateUser(operator)
+	p.VerifyUser(op.ID)
+	guild, err := p.CreateGuild(op.ID, guildTag, true)
+	if err != nil {
+		return nil, fmt.Errorf("honeypot: create guild: %w", err)
+	}
+	hg := &honeyGuild{p: p, operator: op, guild: guild, personas: env.Feed.Personas(cfg.Personas)}
+	for _, ch := range guild.Channels {
+		hg.general = ch
+	}
+	if err := hg.join(); err != nil {
+		hg.close()
+		return nil, err
+	}
+	return hg, nil
+}
+
+// join lets the personas in by invite; their mobile verification is
+// "completed manually" by the experimenter (§4.2), modelled as
+// VerifyUser.
+func (hg *honeyGuild) join() error {
+	invite, err := hg.p.CreateInvite(hg.operator.ID, hg.guild.ID)
+	if err != nil {
+		return fmt.Errorf("honeypot: invite: %w", err)
+	}
+	for _, per := range hg.personas {
+		u := hg.p.CreateUser(per.Username)
+		hg.p.VerifyUser(u.ID)
+		if _, err := hg.p.RedeemInvite(u.ID, invite); err != nil {
+			return fmt.Errorf("honeypot: persona join: %w", err)
+		}
+		hg.users = append(hg.users, u)
+	}
+	return nil
+}
+
+// feed posts a believable conversation (§3): n alternating persona
+// messages.
+func (hg *honeyGuild) feed(gen *corpus.Generator, n int) error {
+	byName := make(map[string]*platform.User, len(hg.users))
+	for i, per := range hg.personas {
+		byName[per.Username] = hg.users[i]
+	}
+	for _, ex := range gen.Conversation(hg.personas, n) {
+		if _, err := hg.p.SendMessage(byName[ex.Author.Username].ID, hg.general.ID, ex.Text); err != nil {
+			return fmt.Errorf("honeypot: feed: %w", err)
+		}
+	}
+	return nil
+}
+
+// close deletes the guild, its channels and its memberships.
+func (hg *honeyGuild) close() { hg.p.DeleteGuild(hg.operator.ID, hg.guild.ID) }
 
 // Run executes one isolated honeypot experiment for a subject,
 // following §4.2: create a private guild named after the chatbot, add
@@ -108,15 +189,7 @@ func Run(env Env, cfg Config, sub Subject) (*Verdict, error) {
 // trigger-watch settle loop and the install-captcha solve abort as soon
 // as ctx is done.
 func RunContext(ctx context.Context, env Env, cfg Config, sub Subject) (*Verdict, error) {
-	if cfg.Personas <= 0 {
-		cfg.Personas = 5
-	}
-	if cfg.FeedMessages <= 0 {
-		cfg.FeedMessages = 25
-	}
-	if cfg.PollEvery <= 0 {
-		cfg.PollEvery = 10 * time.Millisecond
-	}
+	cfg = cfg.withDefaults()
 	reg := obs.Or(env.Obs)
 	reg.Counter("honeypot_experiments_started_total").Inc()
 	p := env.Platform
@@ -128,63 +201,35 @@ func RunContext(ctx context.Context, env Env, cfg Config, sub Subject) (*Verdict
 		"perms":    sub.Perms.Value(),
 		"prefix":   sub.Prefix,
 	})
-	operator := p.CreateUser("operator-" + sub.Name)
-	p.VerifyUser(operator.ID)
-	guild, err := p.CreateGuild(operator.ID, guildTag, true)
+	hg, err := newHoneyGuild(env, cfg, "operator-"+sub.Name, guildTag)
 	if err != nil {
-		return nil, fmt.Errorf("honeypot: create guild: %w", err)
+		return nil, err
 	}
 	// Tear the guild down when the experiment returns, failed or not:
 	// deferred first, this runs after the session closes and after
 	// verdictFor has read the channel and the audit log, so a platform
 	// that outlives the campaign keeps none of its guilds.
-	defer p.DeleteGuild(operator.ID, guild.ID)
-	var general *platform.Channel
-	for _, ch := range guild.Channels {
-		general = ch
-	}
-
-	// Personas join via invite; mobile verification is "completed
-	// manually" by the experimenter (§4.2), modelled as VerifyUser.
-	personas := env.Feed.Personas(cfg.Personas)
-	users := make([]*platform.User, 0, cfg.Personas)
-	invite, err := p.CreateInvite(operator.ID, guild.ID)
-	if err != nil {
-		return nil, fmt.Errorf("honeypot: invite: %w", err)
-	}
-	for _, per := range personas {
-		u := p.CreateUser(per.Username)
-		p.VerifyUser(u.ID)
-		if _, err := p.RedeemInvite(u.ID, invite); err != nil {
-			return nil, fmt.Errorf("honeypot: persona join: %w", err)
-		}
-		users = append(users, u)
-	}
+	defer hg.close()
 
 	// "To add a chatbot to the guild, we need to solve a Google
 	// reCAPTCHA" — paid out to the solving service.
 	if cfg.Solver != nil {
 		endSolve := trace.StartOpDetail(ctx, "captcha_solve", sub.Name)
-		_, err := scraper.SolveContext(ctx, cfg.Solver, installChallenge(sub.Name))
+		_, err := cfg.Solver.Solve(ctx, installChallenge(sub.Name))
 		endSolve()
 		if err != nil {
 			return nil, fmt.Errorf("honeypot: install captcha: %w", err)
 		}
 	}
-	bot, err := p.RegisterBot(operator.ID, sub.Name)
+	bot, err := p.RegisterBot(hg.operator.ID, sub.Name)
 	if err != nil {
 		return nil, fmt.Errorf("honeypot: register bot: %w", err)
 	}
-	if _, err := p.InstallBot(operator.ID, guild.ID, bot.ID, sub.Perms); err != nil {
+	if _, err := p.InstallBot(hg.operator.ID, hg.guild.ID, bot.ID, sub.Perms); err != nil {
 		return nil, fmt.Errorf("honeypot: install bot: %w", err)
 	}
 
-	gwBreaker := env.Breakers.For("gateway " + env.Gateway)
-	if berr := gwBreaker.Allow(); berr != nil {
-		return nil, fmt.Errorf("honeypot: connect bot: %w", berr)
-	}
 	sess, err := botsdk.Dial(env.Gateway, bot.Token, botsdk.Options{RequestTimeout: 5 * time.Second})
-	gwBreaker.Record(err != nil)
 	if err != nil {
 		return nil, fmt.Errorf("honeypot: connect bot: %w", err)
 	}
@@ -197,21 +242,13 @@ func RunContext(ctx context.Context, env Env, cfg Config, sub Subject) (*Verdict
 	defer runner.Stop()
 	handled := watchHandled(sess)
 
-	// A believable conversation feed (§3): alternating persona messages.
-	exchanges := env.Feed.Conversation(personas, cfg.FeedMessages)
-	byName := make(map[string]*platform.User, len(users))
-	for i, per := range personas {
-		byName[per.Username] = users[i]
-	}
-	for _, ex := range exchanges {
-		if _, err := p.SendMessage(byName[ex.Author.Username].ID, general.ID, ex.Text); err != nil {
-			return nil, fmt.Errorf("honeypot: feed: %w", err)
-		}
+	if err := hg.feed(env.Feed, cfg.FeedMessages); err != nil {
+		return nil, err
 	}
 
 	// Plant the four canary tokens.
 	tokens := env.Minter.MintSet(guildTag)
-	if err := plantTokens(p, env, users, general.ID, tokens); err != nil {
+	if err := plantTokens(p, env, hg.users, hg.general.ID, tokens); err != nil {
 		return nil, err
 	}
 
@@ -220,7 +257,7 @@ func RunContext(ctx context.Context, env Env, cfg Config, sub Subject) (*Verdict
 	if prefix == "" {
 		prefix = "!"
 	}
-	cmd, err := p.SendMessage(users[0].ID, general.ID, prefix+"help")
+	cmd, err := p.SendMessage(hg.users[0].ID, hg.general.ID, prefix+"help")
 	if err != nil {
 		return nil, fmt.Errorf("honeypot: command: %w", err)
 	}
@@ -247,7 +284,7 @@ func RunContext(ctx context.Context, env Env, cfg Config, sub Subject) (*Verdict
 	// Stop waits for the replies, canary hits and giveaways the bot
 	// started inside the window, so the verdict records all of them.
 	runner.Stop()
-	v, err := verdictFor(p, env, sub, guildTag, guild.ID, general.ID, bot.ID)
+	v, err := verdictFor(p, env, sub, guildTag, hg.guild.ID, hg.general.ID, bot.ID)
 	if err != nil {
 		return nil, err
 	}

@@ -381,22 +381,33 @@ func (g *guildSpy) Start(sess *botsdk.Session, _ BotEnv) {
 }
 
 // TestExperimentDeletesItsGuild: an experiment's guild is gone once Run
-// returns, whether the experiment settled or was cancelled mid-run.
+// returns, whether the experiment settled or was cancelled mid-run, and
+// so is the shared guild once RunShared returns.
 func TestExperimentDeletesItsGuild(t *testing.T) {
 	env := newEnv(t)
 	cfg := testCfg()
 	cfg.Settle = 200 * time.Millisecond
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	isolated := func(ctx context.Context, sub Subject) error {
+		_, err := RunContext(ctx, env, cfg, sub)
+		return err
+	}
+	shared := func(ctx context.Context, sub Subject) error {
+		_, err := RunSharedContext(ctx, env, cfg, []Subject{sub})
+		return err
+	}
 	for _, tc := range []struct {
 		name string
+		run  func(context.Context, Subject) error
 		spy  *guildSpy
 		ctx  context.Context
 	}{
-		{"Settled", &guildSpy{}, context.Background()},
-		{"Cancelled", &guildSpy{cancel: cancel}, ctx},
+		{"Settled", isolated, &guildSpy{}, context.Background()},
+		{"Cancelled", isolated, &guildSpy{cancel: cancel}, ctx},
+		{"Shared", shared, &guildSpy{}, context.Background()},
 	} {
-		_, err := RunContext(tc.ctx, env, cfg, Subject{ListingID: 20, Name: tc.name, Perms: snoopPerms, Runner: tc.spy})
+		err := tc.run(tc.ctx, Subject{ListingID: 20, Name: tc.name, Perms: snoopPerms, Runner: tc.spy})
 		if tc.spy.cancel == nil && err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -411,7 +422,7 @@ func TestExperimentDeletesItsGuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := env.Platform.Guild(id); !errors.Is(err, platform.ErrNotFound) {
-			t.Errorf("%s: guild %v after Run: err = %v, want ErrNotFound", tc.name, id, err)
+			t.Errorf("%s: guild %v after the run: err = %v, want ErrNotFound", tc.name, id, err)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/botsdk"
-	"repro/internal/platform"
 )
 
 // SharedVerdict is the outcome of a shared-guild run: triggers exist
@@ -31,44 +30,18 @@ func RunShared(env Env, cfg Config, subs []Subject) (*SharedVerdict, error) {
 }
 
 // RunSharedContext is RunShared with cancellation: the trigger-watch
-// loop aborts as soon as ctx is done.
+// loop aborts as soon as ctx is done. The guild is deleted when the run
+// returns.
 func RunSharedContext(ctx context.Context, env Env, cfg Config, subs []Subject) (*SharedVerdict, error) {
-	if cfg.Personas <= 0 {
-		cfg.Personas = 5
-	}
-	if cfg.FeedMessages <= 0 {
-		cfg.FeedMessages = 25
-	}
-	if cfg.PollEvery <= 0 {
-		cfg.PollEvery = 10 * time.Millisecond
-	}
+	cfg = cfg.withDefaults()
 	p := env.Platform
 	guildTag := "hp-shared"
-	operator := p.CreateUser("operator-shared")
-	p.VerifyUser(operator.ID)
-	guild, err := p.CreateGuild(operator.ID, guildTag, true)
-	if err != nil {
-		return nil, fmt.Errorf("honeypot: shared guild: %w", err)
-	}
-	var general *platform.Channel
-	for _, ch := range guild.Channels {
-		general = ch
-	}
-
-	personas := env.Feed.Personas(cfg.Personas)
-	invite, err := p.CreateInvite(operator.ID, guild.ID)
+	hg, err := newHoneyGuild(env, cfg, "operator-shared", guildTag)
 	if err != nil {
 		return nil, err
 	}
-	var users []*platform.User
-	for _, per := range personas {
-		u := p.CreateUser(per.Username)
-		p.VerifyUser(u.ID)
-		if _, err := p.RedeemInvite(u.ID, invite); err != nil {
-			return nil, err
-		}
-		users = append(users, u)
-	}
+	// Deferred first, so it runs after every session closed.
+	defer hg.close()
 
 	v := &SharedVerdict{GuildTag: guildTag}
 	var sessions []*botsdk.Session
@@ -84,11 +57,11 @@ func RunSharedContext(ctx context.Context, env Env, cfg Config, subs []Subject) 
 		}
 	}()
 	for _, sub := range subs {
-		bot, err := p.RegisterBot(operator.ID, sub.Name)
+		bot, err := p.RegisterBot(hg.operator.ID, sub.Name)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.InstallBot(operator.ID, guild.ID, bot.ID, sub.Perms); err != nil {
+		if _, err := p.InstallBot(hg.operator.ID, hg.guild.ID, bot.ID, sub.Perms); err != nil {
 			return nil, fmt.Errorf("honeypot: shared install %s: %w", sub.Name, err)
 		}
 		sess, err := botsdk.Dial(env.Gateway, bot.Token, botsdk.Options{RequestTimeout: 5 * time.Second})
@@ -105,17 +78,11 @@ func RunSharedContext(ctx context.Context, env Env, cfg Config, subs []Subject) 
 		v.SuspectNames = append(v.SuspectNames, sub.Name)
 	}
 
-	byName := make(map[string]*platform.User, len(users))
-	for i, per := range personas {
-		byName[per.Username] = users[i]
-	}
-	for _, ex := range env.Feed.Conversation(personas, cfg.FeedMessages) {
-		if _, err := p.SendMessage(byName[ex.Author.Username].ID, general.ID, ex.Text); err != nil {
-			return nil, err
-		}
+	if err := hg.feed(env.Feed, cfg.FeedMessages); err != nil {
+		return nil, err
 	}
 	tokens := env.Minter.MintSet(guildTag)
-	if err := plantTokens(p, env, users, general.ID, tokens); err != nil {
+	if err := plantTokens(p, env, hg.users, hg.general.ID, tokens); err != nil {
 		return nil, err
 	}
 

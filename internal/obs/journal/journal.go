@@ -74,13 +74,11 @@ const (
 	KindBotQuarantined Kind = "bot_quarantined"
 	KindFaultInjected  Kind = "fault_injected"
 
-	// Crash-safety: checkpoint/resume progress, endpoint circuit
-	// breakers, and the pipeline watchdog.
+	// Crash-safety: checkpoint/resume progress and the pipeline
+	// watchdog.
 	KindCheckpointWritten Kind = "checkpoint_written"
 	KindRunResumed        Kind = "run_resumed"
 	KindWorkSkipped       Kind = "work_skipped"
-	KindBreakerOpened     Kind = "breaker_opened"
-	KindBreakerClosed     Kind = "breaker_closed"
 	KindStageStalled      Kind = "stage_stalled"
 
 	// Sharded executor: one shard's deque ran dry (its remaining items
@@ -314,19 +312,6 @@ func (j *Journal) Emit(e Event) {
 		j.cDropped.Inc()
 	}
 	j.emitMu.RUnlock()
-}
-
-// EmitBatch appends a batch of events under one channel pass. It has
-// identical semantics to calling Emit per event — non-blocking, drops
-// counted individually — but gives batching emitters (the sharded
-// executor's per-shard drain) a single call site.
-func (j *Journal) EmitBatch(events []Event) {
-	if j == nil {
-		return
-	}
-	for _, e := range events {
-		j.Emit(e)
-	}
 }
 
 // Close stops the flusher after draining every buffered event — with

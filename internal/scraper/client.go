@@ -32,10 +32,6 @@ type Client struct {
 	solver  Solver
 	session string
 
-	// breakers, when set, short-circuits fetches against endpoint
-	// classes that are persistently failing; nil disables the circuit.
-	breakers *retry.BreakerSet
-
 	mu    sync.Mutex
 	pass  string
 	stats Stats
@@ -63,11 +59,6 @@ type ClientConfig struct {
 	// Obs receives the client's counters and fetch-latency histogram;
 	// nil uses the process-default registry.
 	Obs *obs.Registry
-	// Breakers, when set, wraps every fetch in a per-endpoint-class
-	// circuit breaker: once a class (host + first path segment, e.g.
-	// "/bot") fails persistently, further fetches fail fast with
-	// ErrUnavailable instead of burning the backoff schedule.
-	Breakers *retry.BreakerSet
 }
 
 // Stats counts crawler-side events, the operational numbers a
@@ -137,7 +128,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		base:         u,
 		http:         &http.Client{Timeout: cfg.Timeout, Transport: transport},
 		solver:       cfg.Solver,
-		breakers:     cfg.Breakers,
 		session:      fmt.Sprintf("s%d", time.Now().UnixNano()),
 		cRequests:    reg.Counter("scraper_requests_total"),
 		cThrottle:    reg.Counter("scraper_throttled_total"),
@@ -155,22 +145,6 @@ func (c *Client) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// endpointClass maps a ref to its breaker key: host plus the first
-// path segment, so /bot/99 and /bot/7 share one circuit while /bots
-// and /site each get their own.
-func (c *Client) endpointClass(ref string) string {
-	u, err := url.Parse(ref)
-	if err != nil {
-		return c.base.Host + " " + ref
-	}
-	full := c.base.ResolveReference(u)
-	seg := full.Path
-	if i := strings.Index(strings.TrimPrefix(seg, "/"), "/"); i >= 0 {
-		seg = seg[:i+1]
-	}
-	return full.Host + " " + seg
 }
 
 // GetContext fetches a path (or absolute URL) and parses the response
@@ -227,18 +201,11 @@ func fetchPolicy(ref string) retry.Policy {
 // honoring — within fetchAttempts tries, of which transient transport
 // faults may retry at most transportRetries.
 func (c *Client) GetRawContext(ctx context.Context, ref string) (string, error) {
-	br := c.breakers.For(c.endpointClass(ref))
 	transientLeft := transportRetries
 	attempts := 0
 	var body string
 	err := retry.Do(ctx, fetchPolicy(ref), func(ctx context.Context) error {
 		attempts++
-		if berr := br.Allow(); berr != nil {
-			// The circuit for this endpoint class is open: fail fast as
-			// an infrastructure error so the caller quarantines instead
-			// of burning the backoff schedule on a known-down endpoint.
-			return retry.Permanent(fmt.Errorf("%w: %s: %v", ErrUnavailable, ref, berr))
-		}
 		opName := "page_fetch"
 		if attempts > 1 {
 			opName = "retry_attempt"
@@ -246,10 +213,6 @@ func (c *Client) GetRawContext(ctx context.Context, ref string) (string, error) 
 		endOp := trace.StartOpDetail(ctx, opName, ref)
 		out, err := c.fetchOnce(ctx, ref)
 		endOp()
-		// Only transient transport faults condemn the endpoint class:
-		// throttling, captchas, and 404s prove the endpoint is alive.
-		var bte *transientError
-		br.Record(errors.As(err, &bte))
 		if err == nil {
 			body = out
 			return nil
@@ -388,7 +351,7 @@ func (c *Client) solveCaptcha(ctx context.Context, ch *htmlparse.Node) error {
 	if p := ch.SelectFirst("p.challenge-text"); p != nil {
 		prompt = p.Text()
 	}
-	answer, err := SolveContext(ctx, c.solver, prompt)
+	answer, err := c.solver.Solve(ctx, prompt)
 	if err != nil {
 		return fmt.Errorf("scraper: solve captcha: %w", err)
 	}

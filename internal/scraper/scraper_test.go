@@ -286,6 +286,12 @@ func TestCaptchaWithoutSolverFails(t *testing.T) {
 	if _, err := crawlStrict(c2, Config{}, 1); err == nil {
 		t.Fatal("crawl should fail when the solver errors")
 	}
+	// A cancelled crawl ends on its context, not on the outage.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := (FailingSolver{}).Solve(ctx, "what is 1 plus 2"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("FailingSolver.Solve on a cancelled context = %v, want context.Canceled", err)
+	}
 }
 
 func TestRateLimitBackoff(t *testing.T) {

@@ -21,29 +21,10 @@ import (
 // Solver answers captcha challenges. The paper used the paid 2Captcha
 // service "due to its affordability and quick solving time".
 type Solver interface {
-	// Solve returns the answer text for a challenge prompt.
-	Solve(challenge string) (string, error)
-}
-
-// ContextSolver is an optional extension: solvers whose waits (network
-// round-trips, simulated solving latency) should abort on cancellation
-// implement it; SolveContext prefers it when present.
-type ContextSolver interface {
-	Solver
-	// SolveContext is Solve with cancellation.
-	SolveContext(ctx context.Context, challenge string) (string, error)
-}
-
-// SolveContext answers a challenge through s, using its context-aware
-// path when the solver provides one.
-func SolveContext(ctx context.Context, s Solver, challenge string) (string, error) {
-	if cs, ok := s.(ContextSolver); ok {
-		return cs.SolveContext(ctx, challenge)
-	}
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	return s.Solve(challenge)
+	// Solve returns the answer text for a challenge prompt. Its waits
+	// (network round-trips, simulated solving latency) abort as soon as
+	// ctx is done.
+	Solve(ctx context.Context, challenge string) (string, error)
 }
 
 // ErrUnsolvable is returned when a solver cannot parse the challenge.
@@ -65,14 +46,9 @@ type TwoCaptchaSim struct {
 
 var challengePattern = regexp.MustCompile(`what is (\d+) plus (\d+)`)
 
-// Solve implements Solver.
-func (s *TwoCaptchaSim) Solve(challenge string) (string, error) {
-	return s.SolveContext(context.Background(), challenge)
-}
-
-// SolveContext implements ContextSolver: the simulated solving latency
-// aborts as soon as ctx is cancelled.
-func (s *TwoCaptchaSim) SolveContext(ctx context.Context, challenge string) (string, error) {
+// Solve implements Solver: the simulated solving latency aborts as soon
+// as ctx is cancelled.
+func (s *TwoCaptchaSim) Solve(ctx context.Context, challenge string) (string, error) {
 	m := challengePattern.FindStringSubmatch(challenge)
 	if m == nil {
 		return "", ErrUnsolvable
@@ -107,7 +83,10 @@ func (s *TwoCaptchaSim) Cost() int {
 // solving service is down.
 type FailingSolver struct{}
 
-// Solve implements Solver.
-func (FailingSolver) Solve(string) (string, error) {
+// Solve implements Solver; a cancelled ctx wins over the outage.
+func (FailingSolver) Solve(ctx context.Context, _ string) (string, error) {
+	if err := ctx.Err(); err != nil {
+		return "", err
+	}
 	return "", fmt.Errorf("scraper: solver unavailable")
 }

@@ -414,7 +414,7 @@ func checkDelivery(events []journal.Event, haveEvents bool, in Inputs) Check {
 }
 
 // Probe is the cheap mid-soak consistency check run at phase
-// boundaries: counter families that must always reconcile, and gauges
+// boundaries: counter families that must always reconcile, and a gauge
 // that can never go negative. It returns the first inconsistency.
 func Probe(reg *obs.Registry) error {
 	snap := reg.Snapshot()
@@ -426,10 +426,8 @@ func Probe(reg *obs.Registry) error {
 	if byReason != shed {
 		return fmt.Errorf("invariant probe: per-reason shed counters sum to %d, total says %d", byReason, shed)
 	}
-	for _, g := range []string{"gateway_sessions", "retry_breakers_open"} {
-		if v, ok := snap.Gauges[g]; ok && v < 0 {
-			return fmt.Errorf("invariant probe: gauge %s is negative (%d)", g, v)
-		}
+	if v, ok := snap.Gauges["gateway_sessions"]; ok && v < 0 {
+		return fmt.Errorf("invariant probe: gauge gateway_sessions is negative (%d)", v)
 	}
 	return nil
 }

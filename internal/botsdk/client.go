@@ -12,7 +12,6 @@ package botsdk
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -441,14 +440,32 @@ func (s *Session) History(channelID string, limit int) ([]*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	blob, _ := json.Marshal(res["messages"])
-	var wire []*gateway.WireMessage
-	if err := json.Unmarshal(blob, &wire); err != nil {
-		return nil, err
-	}
-	out := make([]*Message, 0, len(wire))
-	for _, wm := range wire {
-		out = append(out, fromWire(wm))
+	// The frame reader has already decoded the result; read its
+	// gateway.WireMessage objects field by field.
+	raw, _ := res["messages"].([]any)
+	out := make([]*Message, 0, len(raw))
+	for _, v := range raw {
+		wm, _ := v.(map[string]any)
+		m := &Message{}
+		m.ID, _ = wm["id"].(string)
+		m.ChannelID, _ = wm["channel_id"].(string)
+		m.GuildID, _ = wm["guild_id"].(string)
+		m.AuthorID, _ = wm["author_id"].(string)
+		m.AuthorBot, _ = wm["author_bot"].(bool)
+		m.Content, _ = wm["content"].(string)
+		atts, _ := wm["attachments"].([]any)
+		for _, av := range atts {
+			am, _ := av.(map[string]any)
+			a := Attachment{}
+			a.ID, _ = am["id"].(string)
+			a.Filename, _ = am["filename"].(string)
+			a.ContentType, _ = am["content_type"].(string)
+			if size, ok := am["size"].(float64); ok {
+				a.Size = int(size)
+			}
+			m.Attachments = append(m.Attachments, a)
+		}
+		out = append(out, m)
 	}
 	return out, nil
 }

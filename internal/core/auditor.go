@@ -415,7 +415,8 @@ func (a *Auditor) CanaryTriggers() []canary.Trigger { return a.canarySvc.Trigger
 // ListingURL returns the listing site base URL.
 func (a *Auditor) ListingURL() string { return a.listingSrv.BaseURL() }
 
-// Close tears down every service.
+// Close tears down every service and closes the crawl clients' idle
+// connections.
 func (a *Auditor) Close() {
 	if a.listingSrv != nil {
 		a.listingSrv.Close()
@@ -431,6 +432,11 @@ func (a *Auditor) Close() {
 	}
 	if a.plat != nil {
 		a.plat.Close()
+	}
+	for _, c := range []*scraper.Client{a.listClient, a.codeClient} {
+		if c != nil {
+			c.CloseIdleConnections()
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync"
 	"time"
 
@@ -26,9 +25,16 @@ import (
 // at most fetchAttempts tries, of which at most transportRetries may
 // retry a transport fault. Every wait is cancellation-aware: pass a
 // context via the *Context methods to abort a crawl mid-backoff.
+//
+// The client speaks plain HTTP/1.1 over its own pool of keep-alive
+// connections. Each request is one synchronous exchange on the
+// fetching goroutine, which writes the request, reads the response and
+// follows redirects itself; no goroutine runs per connection or per
+// request. CloseIdleConnections releases the pool.
 type Client struct {
 	base    *url.URL
-	http    *http.Client
+	timeout time.Duration
+	conns   connPool
 	solver  Solver
 	session string
 
@@ -99,11 +105,11 @@ func isInfraErr(err error) bool {
 		errors.Is(err, retry.ErrExhausted)
 }
 
-// maxIdleConnsPerHost sizes each client's keep-alive pool. The
-// sharded executor runs one fetcher per shard against a single listing
-// host; http.DefaultTransport keeps only 2 idle connections per host,
-// so every other fetch would dial afresh. Beyond 64 concurrent
-// fetchers the surplus connections churn as before.
+// maxIdleConnsPerHost caps how many idle connections the client's pool
+// keeps per host. The sharded executor runs one fetcher per shard
+// against a single listing host, so up to 64 concurrent fetchers each
+// find an idle connection; a connection returned to a full pool is
+// closed.
 const maxIdleConnsPerHost = 64
 
 // Per-fetch retry limits. A fetch makes at most fetchAttempts tries in
@@ -122,11 +128,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("scraper: bad base url: %w", err)
 	}
 	reg := obs.Or(cfg.Obs)
-	transport := http.DefaultTransport.(*http.Transport).Clone()
-	transport.MaxIdleConnsPerHost = maxIdleConnsPerHost
 	return &Client{
 		base:         u,
-		http:         &http.Client{Timeout: cfg.Timeout, Transport: transport},
+		timeout:      cfg.Timeout,
 		solver:       cfg.Solver,
 		session:      fmt.Sprintf("s%d", time.Now().UnixNano()),
 		cRequests:    reg.Counter("scraper_requests_total"),
@@ -260,35 +264,22 @@ func (c *Client) fetchOnce(ctx context.Context, ref string) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	req, err := c.newRequest(ctx, ref)
+	u, err := url.Parse(ref)
 	if err != nil {
-		return "", retry.Permanent(err)
+		return "", retry.Permanent(fmt.Errorf("scraper: bad ref %q: %w", ref, err))
 	}
+	req := request{method: http.MethodGet, url: c.base.ResolveReference(u)}
 	c.mu.Lock()
 	c.stats.Requests++
-	if c.pass != "" {
-		req.Header.Set("X-Captcha-Pass", c.pass)
-		c.pass = ""
-	}
+	req.pass, c.pass = c.pass, ""
 	c.mu.Unlock()
 	c.cRequests.Inc()
 
 	fetchStart := time.Now()
-	resp, err := c.http.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return "", ctx.Err()
-		}
-		if isTimeout(err) {
-			c.count(func(s *Stats) { s.Timeouts++ })
-			c.cTimeouts.Inc()
-			return "", retry.Permanent(fmt.Errorf("%w: %s", ErrTimeout, ref))
-		}
-		return "", &transientError{fmt.Errorf("scraper: get %s: %w", ref, err)}
+	resp, body, err := c.do(ctx, req)
+	if resp != nil {
+		c.hFetch.Observe(time.Since(fetchStart))
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	c.hFetch.Observe(time.Since(fetchStart))
 	if err != nil {
 		if ctx.Err() != nil {
 			return "", ctx.Err()
@@ -297,6 +288,9 @@ func (c *Client) fetchOnce(ctx context.Context, ref string) (string, error) {
 			c.count(func(s *Stats) { s.Timeouts++ })
 			c.cTimeouts.Inc()
 			return "", retry.Permanent(fmt.Errorf("%w: %s", ErrTimeout, ref))
+		}
+		if resp == nil {
+			return "", &transientError{fmt.Errorf("scraper: get %s: %w", ref, err)}
 		}
 		// A body that dies mid-read (truncation, reset) is transient.
 		return "", &transientError{fmt.Errorf("scraper: read %s: %w", ref, err)}
@@ -326,22 +320,6 @@ func (c *Client) fetchOnce(ctx context.Context, ref string) (string, error) {
 	return string(body), nil
 }
 
-func (c *Client) newRequest(ctx context.Context, ref string) (*http.Request, error) {
-	u, err := url.Parse(ref)
-	if err != nil {
-		return nil, fmt.Errorf("scraper: bad ref %q: %w", ref, err)
-	}
-	full := c.base.ResolveReference(u).String()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, full, nil)
-	if err != nil {
-		return nil, fmt.Errorf("scraper: build request: %w", err)
-	}
-	// Mimic human/browser traffic (§3 iii).
-	req.Header.Set("User-Agent", "Mozilla/5.0 (X11; Linux x86_64) ReproCrawler/1.0")
-	req.Header.Set("X-Session", c.session)
-	return req, nil
-}
-
 func (c *Client) solveCaptcha(ctx context.Context, ch *htmlparse.Node) error {
 	if c.solver == nil {
 		return fmt.Errorf("scraper: captcha encountered with no solver configured")
@@ -356,23 +334,18 @@ func (c *Client) solveCaptcha(ctx context.Context, ch *htmlparse.Node) error {
 		return fmt.Errorf("scraper: solve captcha: %w", err)
 	}
 	form := url.Values{"challenge_id": {challengeID}, "answer": {answer}}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base.ResolveReference(&url.URL{Path: "/captcha"}).String(),
-		strings.NewReader(form.Encode()))
-	if err != nil {
-		return fmt.Errorf("scraper: build captcha post: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	req.Header.Set("X-Session", c.session)
-	resp, err := c.http.Do(req)
-	if err != nil {
+	resp, body, err := c.do(ctx, request{
+		method: http.MethodPost,
+		url:    c.base.ResolveReference(&url.URL{Path: "/captcha"}),
+		form:   form.Encode(),
+	})
+	if resp == nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		return fmt.Errorf("scraper: post captcha: %w", err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	// The status decides, even when the body died mid-read.
 	if resp.StatusCode == http.StatusForbidden {
 		// The answer was right for a challenge that no longer exists —
 		// typical when concurrent workers race one gate.
@@ -387,6 +360,9 @@ func (c *Client) solveCaptcha(ctx context.Context, ch *htmlparse.Node) error {
 		return fmt.Errorf("scraper: captcha response missing pass token")
 	}
 	pass, _ := passNode.Attr("data-pass")
+	if !validHeaderValue(pass) {
+		return fmt.Errorf("scraper: captcha pass token %q is not a header value", pass)
+	}
 	c.mu.Lock()
 	c.pass = pass
 	c.stats.CaptchasSolved++
@@ -412,8 +388,16 @@ func (c *Client) countRetry() {
 
 func isTimeout(err error) bool {
 	var ne interface{ Timeout() bool }
-	if errors.As(err, &ne) && ne.Timeout() {
-		return true
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
+// validHeaderValue reports whether v holds no control byte but tab, so
+// that it cannot end or add a header line.
+func validHeaderValue(v string) bool {
+	for i := 0; i < len(v); i++ {
+		if b := v[i]; b < ' ' && b != '\t' || b == 0x7f {
+			return false
+		}
 	}
-	return strings.Contains(err.Error(), "Client.Timeout")
+	return true
 }

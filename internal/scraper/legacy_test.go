@@ -30,7 +30,7 @@ func TestClientConfigWiring(t *testing.T) {
 	if got := c.base.String(); got != base {
 		t.Errorf("base URL = %q, want %q", got, base)
 	}
-	if got := c.http.Timeout; got != timeout {
+	if got := c.timeout; got != timeout {
 		t.Errorf("http timeout = %v, want %v", got, timeout)
 	}
 	if c.solver != Solver(solver) {

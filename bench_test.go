@@ -19,8 +19,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,6 +27,7 @@ import (
 	"repro/internal/codeanalysis"
 	"repro/internal/codehost"
 	"repro/internal/core"
+	"repro/internal/core/sched"
 	"repro/internal/corpus"
 	"repro/internal/enforcer"
 	"repro/internal/faults"
@@ -75,21 +74,10 @@ func auditFixture(b *testing.B, n int) (*core.Auditor, *core.Results) {
 	return a, res
 }
 
-// each runs fn(i) for every i in [0, n), workers at a time, as the
-// pipeline's executor spreads bots over its workers.
+// each runs fn(i) for every i in [0, n), workers at a time, on the
+// pipeline executor's scheduler.
 func each(n, workers int, fn func(i int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	sched.Run(context.Background(), n, workers, func(_ context.Context, _, i int) { fn(i) })
 }
 
 // crawl lists the site and settles every listed bot through a Crawler,
@@ -422,10 +410,10 @@ func BenchmarkHoneypotCampaign(b *testing.B) {
 	}
 }
 
-// ---- SCALE: sharded work-stealing executor smoke ----
+// ---- SCALE: the pipeline executor's smoke ----
 
 // BenchmarkShardedScaleSmoke runs the full pipeline over a 2,000-bot
-// population on the sharded work-stealing executor, once per per-bot
+// population on the executor's 4 workers, once per per-bot
 // tracing level (off, bots, full), and reports end-to-end scheduler
 // throughput and the spans each level keeps. The paper-scale audit is
 // perfbench's `audit` workload; this is its scaled-down rehearsal and
@@ -455,7 +443,6 @@ func BenchmarkShardedScaleSmoke(b *testing.B) {
 					b.Fatal("sharded run reported no scale stats")
 				}
 				b.ReportMetric(res.Scale.BotsPerSec, "bots_per_sec")
-				b.ReportMetric(float64(res.Scale.Steals), "steals")
 				b.ReportMetric(res.Scale.ShardImbalance, "shard_imbalance")
 				b.ReportMetric(float64(res.BotTrace.Len()), "spans")
 				a.Close()

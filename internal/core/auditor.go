@@ -15,8 +15,9 @@
 //	res.Report(os.Stdout)
 //
 // The executor (pipeline.go) carries each bot through
-// collect → traceability → code analysis → honeypot on a work-stealing
-// scheduler with Options.Exec.Shards workers.
+// collect → traceability → code analysis → honeypot on
+// Options.Exec.Shards workers, which take bots in listing order from
+// one shared index.
 package core
 
 import (
@@ -84,10 +85,9 @@ type ExecOptions struct {
 	// is ever created. A checkpointed collect quarantine fails the run
 	// when its bot comes up.
 	Strict bool
-	// Shards is the executor's shard and worker count: each worker
-	// carries one bot through all four stages, stealing from loaded
-	// shards when its own drains. Zero or less means 8; 1 runs one
-	// bot at a time.
+	// Shards is the executor's worker count: each worker carries one
+	// bot through all four stages, then takes the next bot in listing
+	// order. Zero or less means 8; 1 runs one bot at a time.
 	Shards int
 	// StageSoftDeadline, when positive, arms one watchdog over the
 	// pipelined phase, whose four stages share one wall-clock window: a
@@ -99,13 +99,13 @@ type ExecOptions struct {
 
 // TraceOptions configures the per-bot tracing layer: a span per bot
 // per stage plus (at full level) sub-operation spans, collected into
-// per-shard buffers and exported as a JSONL span log, a
+// one buffer per worker and exported as a JSONL span log, a
 // Perfetto-loadable Chrome trace, and the profile.json timing artifact
-// that seeds the steal-aware partitioner.
+// (per-bot stage costs and per-worker load).
 type TraceOptions struct {
 	// Level selects recording depth: off (default: run-level stage
 	// spans and per-stage totals only), bots (one span per bot per
-	// stage + scheduler events), or full
+	// stage), or full
 	// (adds sub-operation spans: page fetches, retries, captcha solves,
 	// invite redirects, policy audits, honeypot settles, codehost
 	// fetches).
@@ -564,9 +564,9 @@ func retriesOf(c *scraper.Client) int {
 // stream of correlated events sharing one run ID, bracketed by
 // stage_started/stage_completed pairs.
 //
-// The four analysis stages run on the sharded work-stealing executor;
-// fault-free runs produce the same verdicts, quarantines and aggregates
-// on the same seed whatever the shard count.
+// The four analysis stages run on the executor's workers; fault-free
+// runs produce the same verdicts, quarantines and aggregates on the
+// same seed whatever the worker count.
 func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 	runID := fmt.Sprintf("run-%d", time.Now().UnixNano())
 

@@ -1,17 +1,16 @@
-// The pipeline's executor: bots are partitioned across N shards and
-// each worker carries one bot through
+// The pipeline's executor: Exec.Shards workers share one index into
+// the work plan, and each carries one bot through
 // collect → traceability → code analysis → honeypot before taking the
-// next, stealing from loaded shards once its own drains. A worker is in
-// one stage at a time, so the shard count also bounds how many bots
-// each backing service (listing server, code host, gateway) serves at
-// once.
+// next bot in listing order. A worker is in one stage at a time, so
+// the worker count also bounds how many bots each backing service
+// (listing server, code host, gateway) serves at once.
 //
 // Determinism: every per-bot outcome is computed by the stage
 // packages' per-bot primitives (Crawler, Analyzer, CampaignRunner),
 // per-experiment RNG feeds are derived from stable identities,
 // aggregates are commutative, and final assembly walks canonical
 // (listing/sample) order — so a fault-free run renders the same
-// results on the same seed at any shard count, one included.
+// results on the same seed at any worker count, one included.
 package core
 
 import (
@@ -25,31 +24,33 @@ import (
 	"repro/internal/codeanalysis"
 	"repro/internal/core/sched"
 	"repro/internal/honeypot"
-	"repro/internal/obs/journal"
 	bottrace "repro/internal/obs/trace"
 	"repro/internal/report"
 	"repro/internal/scraper"
 	"repro/internal/traceability"
 )
 
-// ScaleStats is the executor's scheduler and throughput accounting,
+// ScaleStats is the executor's throughput and per-worker accounting,
 // which the report's scale block and perfbench read.
 type ScaleStats struct {
 	Bots   int   `json:"bots"`   // listed bots (collect items)
 	Sample int   `json:"sample"` // honeypot sample size
 	Items  int   `json:"items"`  // scheduled work items (listing ∪ sample)
 	Seed   int64 `json:"seed"`
-	Shards int   `json:"shards"` // one worker per shard
+	Shards int   `json:"shards"` // the executor's worker count
 
 	ElapsedMS  float64 `json:"elapsed_ms"`
 	BotsPerSec float64 `json:"bots_per_sec"`
 
-	Steals           int64   `json:"steals"`
-	ExecutedPerShard []int64 `json:"executed_per_shard"`
-	StolenPerShard   []int64 `json:"stolen_per_shard"`
-	PerWorker        []int64 `json:"executed_per_worker"`
-	// ShardImbalance is max/mean executed items per shard; 1.0 is a
-	// perfectly balanced drain.
+	// Steals is always 0: the workers share one index and take no
+	// item from each other.
+	//
+	// Deprecated: kept only for readers of earlier ScaleStats.
+	Steals int64 `json:"steals"`
+	// PerWorker counts the items each worker ran.
+	PerWorker []int64 `json:"executed_per_worker"`
+	// ShardImbalance is max/mean items per worker; 1.0 means every
+	// worker ran the same number of items.
 	ShardImbalance float64 `json:"shard_imbalance"`
 
 	// Stages repeats the stage table's traced totals for collect,
@@ -68,8 +69,8 @@ type StageStats struct {
 // Report renders the scale accounting as text. The per-stage totals
 // are the stage table's Items and Busy, so they are not printed again.
 func (s *ScaleStats) Report(w io.Writer) {
-	fmt.Fprintf(w, "Sharded executor: %d items (%d listed, sample %d) on %d shard(s) in %.0fms (%.1f bots/sec, %d steal(s), imbalance %.2f)\n",
-		s.Items, s.Bots, s.Sample, s.Shards, s.ElapsedMS, s.BotsPerSec, s.Steals, s.ShardImbalance)
+	fmt.Fprintf(w, "Sharded executor: %d items (%d listed, sample %d) on %d worker(s) in %.0fms (%.1f bots/sec, imbalance %.2f)\n",
+		s.Items, s.Bots, s.Sample, s.Shards, s.ElapsedMS, s.BotsPerSec, s.ShardImbalance)
 }
 
 // workItem is one bot's trip through the pipeline: listIdx indexes the
@@ -100,7 +101,7 @@ func shardImbalance(executed []int64) float64 {
 }
 
 // runSharded executes the four analysis stages as one pipelined phase
-// over the work-stealing scheduler.
+// on the executor's workers.
 func (a *Auditor) runSharded(r *run) error {
 	res := r.res
 	shards := a.opts.Exec.Shards
@@ -327,8 +328,7 @@ func (a *Auditor) runSharded(r *run) error {
 		}
 	}
 
-	stats := sched.Run(pctx, sched.Partition(len(items), shards), shards, fn,
-		sched.Hooks{Obs: a.obs, Tracer: r.tracer, Stage: "sharded"})
+	perWorker := sched.Run(pctx, len(items), shards, fn)
 	elapsed := time.Since(phaseStart)
 
 	// Drain the worker buffers before deciding anything: even a failed
@@ -338,18 +338,6 @@ func (a *Auditor) runSharded(r *run) error {
 		batches[w] = nil
 	}
 	cleanup()
-	for si := range stats.Executed {
-		a.journal.Emit(journal.Event{
-			Kind:      journal.KindShardDrained,
-			Component: "core",
-			RunID:     res.RunID,
-			Fields: map[string]any{
-				"shard":    si,
-				"executed": stats.Executed[si],
-				"stolen":   stats.Stolen[si],
-			},
-		})
-	}
 
 	if cause := context.Cause(pctx); cause != nil && errors.Is(cause, ErrStageStalled) {
 		return cause
@@ -439,19 +427,16 @@ func (a *Auditor) runSharded(r *run) error {
 		botsPerSec = float64(len(items)) / secs
 	}
 	res.Scale = &ScaleStats{
-		Bots:             len(ids),
-		Sample:           len(camp.Sample()),
-		Items:            len(items),
-		Seed:             a.opts.Seed,
-		Shards:           shards,
-		ElapsedMS:        float64(elapsed) / float64(time.Millisecond),
-		BotsPerSec:       botsPerSec,
-		Steals:           stats.Steals,
-		ExecutedPerShard: stats.Executed,
-		StolenPerShard:   stats.Stolen,
-		PerWorker:        stats.PerWorker,
-		ShardImbalance:   shardImbalance(stats.Executed),
-		Stages:           stageStats(r.tracer),
+		Bots:           len(ids),
+		Sample:         len(camp.Sample()),
+		Items:          len(items),
+		Seed:           a.opts.Seed,
+		Shards:         shards,
+		ElapsedMS:      float64(elapsed) / float64(time.Millisecond),
+		BotsPerSec:     botsPerSec,
+		PerWorker:      perWorker,
+		ShardImbalance: shardImbalance(perWorker),
+		Stages:         stageStats(r.tracer),
 	}
 	return nil
 }

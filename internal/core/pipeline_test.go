@@ -1,4 +1,4 @@
-// Tests for the sharded work-stealing executor: outcome parity between
+// Tests for the pipeline's executor: outcome parity between
 // a sequential (one-shard) run and a sharded one on a fixed seed,
 // graceful degradation under chaos, crash/resume convergence
 // mid-shard, and the concurrent stage-timing report.
@@ -16,11 +16,13 @@ import (
 
 	"repro/internal/canary"
 	"repro/internal/checkpoint"
+	"repro/internal/codeanalysis"
 	"repro/internal/faults"
 	"repro/internal/honeypot"
 	"repro/internal/obs"
 	"repro/internal/obs/journal"
 	bottrace "repro/internal/obs/trace"
+	"repro/internal/scraper"
 )
 
 // comparableVerdict projects a honeypot verdict onto its deterministic
@@ -152,11 +154,11 @@ func TestShardedMatchesSequential(t *testing.T) {
 		t.Fatalf("scheduled %d items, want one per listed bot (%d)", s.Items, len(seq.Records))
 	}
 	var executed int64
-	for _, n := range s.ExecutedPerShard {
+	for _, n := range s.PerWorker {
 		executed += n
 	}
 	if executed != int64(s.Items) {
-		t.Fatalf("shards executed %d items, want %d (none lost, none doubled)", executed, s.Items)
+		t.Fatalf("workers executed %d items, want %d (none lost, none doubled)", executed, s.Items)
 	}
 	var stages []string
 	for _, g := range s.Stages {
@@ -167,6 +169,55 @@ func TestShardedMatchesSequential(t *testing.T) {
 	}
 	if s.BotsPerSec <= 0 {
 		t.Fatalf("BotsPerSec = %v, want > 0", s.BotsPerSec)
+	}
+}
+
+// TestCodeAnalysisMatchesStandalonePass: a multi-worker run's
+// Results.Code equals a standalone pass that settles the run's records
+// on a fresh Analyzer one bot at a time, in listing order. The workers
+// reach a repository that several bots share in whatever order they
+// take those bots, so this pins that the order leaves the code-analysis
+// result as it is.
+func TestCodeAnalysisMatchesStandalonePass(t *testing.T) {
+	a, err := NewAuditor(Options{
+		Seed:     2022,
+		NumBots:  300,
+		Honeypot: HoneypotOptions{Sample: 1, Settle: 50 * time.Millisecond},
+		Exec:     ExecOptions{Shards: 4},
+		Obs:      obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	res := runAll(t, a)
+
+	c, err := scraper.NewClient(scraper.ClientConfig{BaseURL: a.hostSrv.BaseURL(), Timeout: 5 * time.Second, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.CloseIdleConnections()
+	az := codeanalysis.NewAnalyzer(c, codeanalysis.AnalyzeOptions{})
+	want := codeanalysis.NewResult()
+	for _, r := range res.Records {
+		if !r.PermsValid {
+			continue
+		}
+		want.NoteBot(r.GitHubURL != "")
+		if r.GitHubURL == "" {
+			continue
+		}
+		sl, err := az.SettleBot(context.Background(), r.ID, r.GitHubURL)
+		if err != nil || sl.RA == nil {
+			t.Fatalf("bot %d link %s: analysis %v, err %v, quarantine %v", r.ID, r.GitHubURL, sl.RA, err, sl.Quarantine)
+		}
+		want.Add(sl.RA)
+	}
+	if want.WithLink == 0 {
+		t.Fatal("no record links a repository; the check compares nothing")
+	}
+	if !reflect.DeepEqual(res.Code, want) {
+		t.Fatalf("pipeline code analysis %+v, standalone pass %+v", res.Code, want)
 	}
 }
 

@@ -81,11 +81,6 @@ const (
 	KindWorkSkipped       Kind = "work_skipped"
 	KindStageStalled      Kind = "stage_stalled"
 
-	// Sharded executor: one shard's deque ran dry (its remaining items
-	// stolen or executed) — the scheduler-level milestone that lets a
-	// journal reader reconstruct shard balance after the fact.
-	KindShardDrained Kind = "shard_drained"
-
 	// Gateway traffic plane: session lifecycle and overload shedding.
 	// session_shed marks a connection refused by admission control
 	// (fields.reason: max_sessions | identify_rate | tenant_rate);

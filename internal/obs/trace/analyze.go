@@ -11,11 +11,8 @@ type Summary struct {
 	Ops       int
 	StageOps  int
 	SubOps    int
-	Instants  int
-	Counters  int
 	RunSpans  int
 	Bots      int
-	Steals    int
 	BusyMS    float64 // summed bot-stage span time across shards
 	Stages    []StageCost
 	ShardLoad []ShardLoad
@@ -32,12 +29,11 @@ type StageCost struct {
 	MaxBot  int32
 }
 
-// ShardLoad is one shard's share of the work.
+// ShardLoad is one worker's share of the work.
 type ShardLoad struct {
 	Shard  int32
 	Items  int
 	BusyMS float64
-	Steals int
 }
 
 // BotCost is one bot's total span time with its per-stage split.
@@ -94,21 +90,6 @@ func Summarize(h Header, ops []Op) Summary {
 			}
 		case KindOp:
 			s.SubOps++
-		case KindInstant:
-			s.Instants++
-			if op.Name == "steal" {
-				s.Steals++
-				if op.Shard >= 0 {
-					e := shards[op.Shard]
-					if e == nil {
-						e = &ShardLoad{Shard: op.Shard}
-						shards[op.Shard] = e
-					}
-					e.Steals++
-				}
-			}
-		case KindCounter:
-			s.Counters++
 		case KindRun:
 			s.RunSpans++
 		}

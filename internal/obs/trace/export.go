@@ -146,12 +146,12 @@ func assignLanes(evs []chromeEvent) (lanes int) {
 	return len(open)
 }
 
-// WriteChromeTrace renders the trace as Chrome trace-event JSON:
-// shard = track, each bot's stage spans as slices with sub-operation
-// slices nested under them (by time containment), scheduler steals as
-// instants and queue depths as counter series, and the run-level stage
-// spans on their own track above the shards. Open the file in
-// https://ui.perfetto.dev or chrome://tracing.
+// WriteChromeTrace renders the trace as Chrome trace-event JSON: one
+// track per executor worker ("shard N"), each bot's stage spans as
+// slices with sub-operation slices nested under them (by time
+// containment), and the run-level stage spans on their own track above
+// the workers'. Open the file in https://ui.perfetto.dev or
+// chrome://tracing.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	ops := t.Ops()
 	slices := make(map[int][]chromeEvent) // base tid -> duration slices
@@ -159,47 +159,32 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 
 	for _, op := range ops {
 		tid := chromeTID(op.Shard)
-		switch op.Kind {
-		case KindStage, KindOp, KindRun:
-			name := op.Name
-			cat := "op"
-			if op.Kind != KindOp {
-				cat = "stage"
-				if op.BotID != 0 {
-					name = fmt.Sprintf("%s #%d", op.Stage, op.BotID)
-				}
-			}
-			args := map[string]any{}
+		name := op.Name
+		cat := "op"
+		if op.Kind != KindOp {
+			cat = "stage"
 			if op.BotID != 0 {
-				args["bot_id"] = op.BotID
+				name = fmt.Sprintf("%s #%d", op.Stage, op.BotID)
 			}
-			if op.Bot != "" {
-				args["bot"] = op.Bot
-			}
-			if op.Detail != "" {
-				args["detail"] = op.Detail
-			}
-			if len(args) == 0 {
-				args = nil
-			}
-			slices[tid] = append(slices[tid], chromeEvent{
-				Name: name, Cat: cat, Phase: "X",
-				TS: usOf(op.StartNS), Dur: usOf(op.DurNS),
-				PID: chromePID, TID: tid, Args: args,
-			})
-		case KindInstant:
-			evs = append(evs, chromeEvent{
-				Name: op.Name, Cat: op.Stage, Phase: "i", Scope: "t",
-				TS: usOf(op.StartNS), PID: chromePID, TID: laneTID(tid, 0),
-				Args: map[string]any{"detail": op.Detail, "value": op.Value},
-			})
-		case KindCounter:
-			evs = append(evs, chromeEvent{
-				Name: fmt.Sprintf("%s[shard %d]", op.Name, op.Shard), Phase: "C",
-				TS: usOf(op.StartNS), PID: chromePID, TID: laneTID(tid, 0),
-				Args: map[string]any{"value": op.Value},
-			})
 		}
+		args := map[string]any{}
+		if op.BotID != 0 {
+			args["bot_id"] = op.BotID
+		}
+		if op.Bot != "" {
+			args["bot"] = op.Bot
+		}
+		if op.Detail != "" {
+			args["detail"] = op.Detail
+		}
+		if len(args) == 0 {
+			args = nil
+		}
+		slices[tid] = append(slices[tid], chromeEvent{
+			Name: name, Cat: cat, Phase: "X",
+			TS: usOf(op.StartNS), Dur: usOf(op.DurNS),
+			PID: chromePID, TID: tid, Args: args,
+		})
 	}
 
 	// Track naming metadata: the run track, then each shard, each with
@@ -256,8 +241,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	})
 }
 
-// validPhases is what this exporter emits — the subset of the trace
-// event format ValidateChromeTrace accepts.
+// validPhases is the subset of the trace event format
+// ValidateChromeTrace accepts: what this exporter emits (X and M), plus
+// the instants and counters that earlier exports carried.
 var validPhases = map[string]bool{"X": true, "M": true, "i": true, "C": true}
 
 // ValidateChromeTrace checks that data is well-formed Chrome

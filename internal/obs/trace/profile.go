@@ -7,10 +7,8 @@ import (
 	"sort"
 )
 
-// ProfileSchema names the profile.json format. The steal-aware
-// partitioner (ROADMAP item 1) consumes this file to seed shard
-// assignments from a prior run's timings, so the schema is the
-// contract between this PR and that one.
+// ProfileSchema names the profile.json format, so a reader can refuse
+// a file written in another one.
 const ProfileSchema = "botscan-profile/1"
 
 // BotProfile is one bot's cost: total span time and the per-stage
@@ -23,32 +21,16 @@ type BotProfile struct {
 	StageMS map[string]float64 `json:"stage_ms"`
 }
 
-// StealEvent is one steal observed on a shard's timeline: at AtMS a
-// thief worker took an item from this (victim) shard's deque, which
-// held Depth items afterwards.
-type StealEvent struct {
-	AtMS   float64 `json:"at_ms"`
-	Worker int     `json:"worker"`
-	Depth  int64   `json:"depth"`
-}
-
-// DepthSample is one sampled queue depth on a shard's timeline.
-type DepthSample struct {
-	AtMS  float64 `json:"at_ms"`
-	Depth int64   `json:"depth"`
-}
-
-// ShardTimeline is one shard's busy/steal view of the run.
+// ShardTimeline is one worker's load over the run: the bot-stage spans
+// it recorded and their summed time.
 type ShardTimeline struct {
-	Shard  int32         `json:"shard"`
-	Items  int           `json:"items"`
-	BusyMS float64       `json:"busy_ms"`
-	Steals []StealEvent  `json:"steals,omitempty"`
-	Depth  []DepthSample `json:"depth,omitempty"`
+	Shard  int32   `json:"shard"`
+	Items  int     `json:"items"`
+	BusyMS float64 `json:"busy_ms"`
 }
 
 // Profile is the timing artifact a traced run emits: per-bot per-stage
-// durations plus the per-shard busy/steal timeline.
+// durations plus each worker's load.
 type Profile struct {
 	Schema  string             `json:"schema"`
 	RunID   string             `json:"run_id"`
@@ -60,44 +42,18 @@ type Profile struct {
 	ShardTL []ShardTimeline    `json:"shard_timeline,omitempty"`
 }
 
-// maxDepthSamples caps the per-shard depth series kept in the profile;
-// longer series are downsampled evenly so profile.json stays small at
-// paper scale.
-const maxDepthSamples = 512
-
 func msOf(ns int64) float64 { return float64(ns) / 1e6 }
 
 // BuildProfile assembles a Profile from a finished tracer.
 func (t *Tracer) BuildProfile() Profile {
-	p := buildProfile(t.Ops(), t.Shards())
-	p.RunID = t.RunID()
-	p.Level = t.Level().String()
-	return p
-}
-
-// BuildProfileFromOps assembles a Profile from a decoded span log, so
-// `botscan trace` can rebuild one from spans.jsonl alone.
-func BuildProfileFromOps(h Header, ops []Op) Profile {
-	p := buildProfile(ops, h.Shards)
-	p.RunID = h.RunID
-	p.Level = h.Level
-	return p
-}
-
-func buildProfile(ops []Op, shards int) Profile {
-	p := Profile{Schema: ProfileSchema, Shards: shards, Stages: map[string]float64{}}
+	p := Profile{
+		Schema: ProfileSchema, RunID: t.RunID(), Level: t.Level().String(),
+		Shards: t.Shards(), Stages: map[string]float64{},
+	}
 	bots := map[int32]*BotProfile{}
 	tl := map[int32]*ShardTimeline{}
-	shardOf := func(s int32) *ShardTimeline {
-		e := tl[s]
-		if e == nil {
-			e = &ShardTimeline{Shard: s}
-			tl[s] = e
-		}
-		return e
-	}
 	var wallNS int64
-	for _, op := range ops {
+	for _, op := range t.Ops() {
 		if op.EndNS() > wallNS {
 			wallNS = op.EndNS()
 		}
@@ -116,21 +72,13 @@ func buildProfile(ops []Op, shards int) Profile {
 			// touched by several workers keep the last one seen.
 			b.Shard = op.Shard
 			if op.Shard >= 0 {
-				e := shardOf(op.Shard)
+				e := tl[op.Shard]
+				if e == nil {
+					e = &ShardTimeline{Shard: op.Shard}
+					tl[op.Shard] = e
+				}
 				e.Items++
 				e.BusyMS += msOf(op.DurNS)
-			}
-		case KindInstant:
-			if op.Name == "steal" && op.Shard >= 0 {
-				shardOf(op.Shard).Steals = append(shardOf(op.Shard).Steals, StealEvent{
-					AtMS: msOf(op.StartNS), Worker: int(op.Value >> 32), Depth: op.Value & 0xffffffff,
-				})
-			}
-		case KindCounter:
-			if op.Name == "queue_depth" && op.Shard >= 0 {
-				shardOf(op.Shard).Depth = append(shardOf(op.Shard).Depth, DepthSample{
-					AtMS: msOf(op.StartNS), Depth: op.Value,
-				})
 			}
 		}
 	}
@@ -140,14 +88,6 @@ func buildProfile(ops []Op, shards int) Profile {
 	}
 	sort.Slice(p.Bots, func(i, j int) bool { return p.Bots[i].BotID < p.Bots[j].BotID })
 	for _, e := range tl {
-		if len(e.Depth) > maxDepthSamples {
-			ds := make([]DepthSample, 0, maxDepthSamples)
-			step := float64(len(e.Depth)) / float64(maxDepthSamples)
-			for i := 0; i < maxDepthSamples; i++ {
-				ds = append(ds, e.Depth[int(float64(i)*step)])
-			}
-			e.Depth = ds
-		}
 		p.ShardTL = append(p.ShardTL, *e)
 	}
 	sort.Slice(p.ShardTL, func(i, j int) bool { return p.ShardTL[i].Shard < p.ShardTL[j].Shard })
@@ -161,8 +101,7 @@ func WriteProfile(w io.Writer, p Profile) error {
 	return enc.Encode(p)
 }
 
-// DecodeProfile reads a profile.json, refusing foreign schemas — the
-// round-trip contract the partitioner will rely on.
+// DecodeProfile reads a profile.json, refusing foreign schemas.
 func DecodeProfile(r io.Reader) (Profile, error) {
 	var p Profile
 	if err := json.NewDecoder(r).Decode(&p); err != nil {
@@ -172,10 +111,4 @@ func DecodeProfile(r io.Reader) (Profile, error) {
 		return p, fmt.Errorf("trace: profile schema %q, want %s", p.Schema, ProfileSchema)
 	}
 	return p, nil
-}
-
-// PackStealValue encodes (worker, depth) into the single Value field
-// an instant op carries; buildProfile unpacks it.
-func PackStealValue(worker int, depth int) int64 {
-	return int64(worker)<<32 | int64(depth&0x7fffffff)
 }

@@ -6,9 +6,9 @@
 // the journal's stage_completed seconds, the Perfetto export and
 // profile.json all read it.
 //
-// Completed operations land in per-shard append-only buffers, sharded
-// by the scheduler worker that produced them. A worker only ever
-// touches its own shard's mutex, so the collection path is
+// Completed operations land in append-only buffers, one per executor
+// worker (a "shard" in this package's names). A worker only ever
+// touches its own buffer's mutex, so the collection path is
 // contention-free at full paper scale and bot-level tracing costs low
 // single-digit percent (BenchmarkShardedScaleSmoke measures each
 // level). Each buffer also keeps per-stage totals (bot-stage span
@@ -34,8 +34,7 @@ const (
 	// LevelOff keeps what the run's stage table needs and nothing
 	// per bot: the run-level stage spans and per-stage totals.
 	LevelOff Level = iota
-	// LevelBots additionally records one span per bot per stage plus
-	// scheduler events (steals, queue depth).
+	// LevelBots additionally records one span per bot per stage.
 	LevelBots
 	// LevelFull additionally records sub-operation spans inside each
 	// bot-stage span (page fetches, retries, captcha solves, ...).
@@ -73,16 +72,12 @@ const (
 	KindStage Kind = iota
 	// KindOp is a sub-operation inside a stage (page_fetch, ...).
 	KindOp
-	// KindInstant is a point event (a steal, a stage boundary).
-	KindInstant
-	// KindCounter is a sampled value (shard queue depth).
-	KindCounter
 	// KindRun is a run-level stage span on the control track: the
 	// stage table's Wall column and the Perfetto run track.
 	KindRun
 )
 
-var kindNames = [...]string{"stage", "op", "instant", "counter", "run"}
+var kindNames = [...]string{"stage", "op", "run"}
 
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
@@ -126,10 +121,9 @@ type Op struct {
 	Detail  string `json:"detail,omitempty"`
 	StartNS int64  `json:"start_ns"`
 	DurNS   int64  `json:"dur_ns,omitempty"`
-	Value   int64  `json:"value,omitempty"`
 }
 
-// EndNS is the op's end offset (start for instants and counters).
+// EndNS is the op's end offset.
 func (o Op) EndNS() int64 { return o.StartNS + o.DurNS }
 
 // shardBuf is one shard's append-only op buffer plus its per-stage
@@ -250,28 +244,6 @@ func (t *Tracer) record(op Op) {
 		buf.ops = append(buf.ops, op)
 	}
 	buf.mu.Unlock()
-}
-
-// Instant records a point event on a shard track (level >= bots).
-func (t *Tracer) Instant(shard int, stage, name, detail string, value int64) {
-	if t == nil || t.level < LevelBots {
-		return
-	}
-	t.record(Op{
-		Shard: int32(shard), Kind: KindInstant, Stage: stage, Name: name,
-		Detail: detail, StartNS: t.sinceNS(), Value: value,
-	})
-}
-
-// Sample records a counter value on a shard track (level >= bots).
-func (t *Tracer) Sample(shard int, stage, name string, value int64) {
-	if t == nil || t.level < LevelBots {
-		return
-	}
-	t.record(Op{
-		Shard: int32(shard), Kind: KindCounter, Stage: stage, Name: name,
-		StartNS: t.sinceNS(), Value: value,
-	})
 }
 
 // StartRunSpan opens a run-level stage span on the control track and

@@ -57,8 +57,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if tr.Level() != LevelOff || tr.RunID() != "" || tr.Shards() != 0 || tr.Len() != 0 {
 		t.Fatal("nil tracer accessors not zero-valued")
 	}
-	tr.Instant(0, "collect", "steal", "", 1)
-	tr.Sample(0, "collect", "queue_depth", 3)
 	tr.StartRunSpan("collect")()
 	if ops := tr.Ops(); ops != nil {
 		t.Fatalf("nil tracer recorded %d ops", len(ops))
@@ -142,8 +140,6 @@ func TestConcurrentHammer(t *testing.T) {
 					}
 					end()
 				}
-				tr.Instant(worker, "collect", "steal", "w", PackStealValue(worker, b))
-				tr.Sample(worker, "collect", "queue_depth", int64(b))
 			}
 		}(w)
 	}
@@ -155,10 +151,8 @@ func TestConcurrentHammer(t *testing.T) {
 
 	wantStage := shards * botsPer * len(stages)
 	wantOps := wantStage * opsPerStage
-	wantInstants := shards * botsPer
-	wantCounters := shards * botsPer
 	wantRun := len(stages)
-	want := wantStage + wantOps + wantInstants + wantCounters + wantRun
+	want := wantStage + wantOps + wantRun
 	if got := tr.Len(); got != want {
 		t.Fatalf("recorded %d ops, want %d", got, want)
 	}
@@ -166,11 +160,8 @@ func TestConcurrentHammer(t *testing.T) {
 	for _, op := range tr.Ops() {
 		counts[op.Kind]++
 	}
-	if counts[KindStage] != wantStage || counts[KindOp] != wantOps ||
-		counts[KindInstant] != wantInstants || counts[KindCounter] != wantCounters ||
-		counts[KindRun] != wantRun {
-		t.Fatalf("kind counts %v, want stage=%d op=%d instant=%d counter=%d run=%d",
-			counts, wantStage, wantOps, wantInstants, wantCounters, wantRun)
+	if counts[KindStage] != wantStage || counts[KindOp] != wantOps || counts[KindRun] != wantRun {
+		t.Fatalf("kind counts %v, want stage=%d op=%d run=%d", counts, wantStage, wantOps, wantRun)
 	}
 	// The per-shard stage totals fold the same spans exactly once.
 	rows := tr.StageTimings()
@@ -269,8 +260,12 @@ func TestDecodeJSONLSkipsBadLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.WriteString("not json\n")
+	// Earlier span logs carried scheduler instants and counters, which
+	// no longer decode as an op kind: they are skipped like bad lines.
+	buf.WriteString(`{"shard":1,"kind":"instant","stage":"sharded","name":"steal","start_ns":8000000,"value":4294967298}` + "\n")
+	buf.WriteString(`{"shard":1,"kind":"counter","stage":"sharded","name":"queue_depth","start_ns":8500000,"value":3}` + "\n")
 	_, ops, skipped, err := DecodeJSONL(&buf)
-	if err != nil || skipped != 1 || len(ops) != 1 {
+	if err != nil || skipped != 3 || len(ops) != 1 {
 		t.Fatalf("lenient decode: ops=%d skipped=%d err=%v", len(ops), skipped, err)
 	}
 }
@@ -286,8 +281,6 @@ func TestProfileRoundTrip(t *testing.T) {
 			StartStage(ctx)()
 		}
 	}
-	tr.Instant(0, "collect", "steal", "", PackStealValue(1, 3))
-	tr.Sample(1, "collect", "queue_depth", 5)
 	tr.StartRunSpan("collect")()
 
 	p := tr.BuildProfile()
@@ -299,15 +292,6 @@ func TestProfileRoundTrip(t *testing.T) {
 	}
 	if len(p.ShardTL) != 2 {
 		t.Fatalf("shard timeline %+v, want 2 shards", p.ShardTL)
-	}
-	var st0 ShardTimeline
-	for _, e := range p.ShardTL {
-		if e.Shard == 0 {
-			st0 = e
-		}
-	}
-	if len(st0.Steals) != 1 || st0.Steals[0].Worker != 1 || st0.Steals[0].Depth != 3 {
-		t.Fatalf("steal event %+v, want worker=1 depth=3", st0.Steals)
 	}
 
 	var buf bytes.Buffer
@@ -324,17 +308,6 @@ func TestProfileRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeProfile(strings.NewReader(`{"schema":"other/9"}`)); err == nil {
 		t.Fatal("foreign profile schema accepted")
-	}
-}
-
-func TestProfileDepthDownsample(t *testing.T) {
-	tr := newFakeTracer(1, LevelBots)
-	for i := 0; i < 3*maxDepthSamples; i++ {
-		tr.Sample(0, "collect", "queue_depth", int64(i))
-	}
-	p := tr.BuildProfile()
-	if len(p.ShardTL) != 1 || len(p.ShardTL[0].Depth) != maxDepthSamples {
-		t.Fatalf("depth series len %d, want %d", len(p.ShardTL[0].Depth), maxDepthSamples)
 	}
 }
 
@@ -355,7 +328,6 @@ func TestSummarizeAndSlowest(t *testing.T) {
 	mk(0, 1, "collect", 0)
 	mk(1, 2, "collect", 10)
 	mk(0, 3, "collect", 1)
-	tr.Instant(0, "collect", "steal", "", PackStealValue(1, 1))
 
 	var jsonl bytes.Buffer
 	if err := tr.WriteJSONL(&jsonl); err != nil {
@@ -366,8 +338,8 @@ func TestSummarizeAndSlowest(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := Summarize(h, ops)
-	if s.Bots != 3 || s.StageOps != 3 || s.SubOps != 11 || s.Steals != 1 {
-		t.Fatalf("summary %+v, want 3 bots, 3 stage ops, 11 sub-ops, 1 steal", s)
+	if s.Bots != 3 || s.StageOps != 3 || s.SubOps != 11 {
+		t.Fatalf("summary %+v, want 3 bots, 3 stage ops, 11 sub-ops", s)
 	}
 	if len(s.Stages) != 1 || s.Stages[0].MaxBot != 2 {
 		t.Fatalf("stage cost %+v, want max bot 2", s.Stages)

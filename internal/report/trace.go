@@ -16,10 +16,9 @@ import (
 func TraceSummary(w io.Writer, s trace.Summary) {
 	fmt.Fprintf(w, "Trace summary: run %s (level %s, %d shards)\n", s.RunID, s.Level, s.Shards)
 	fmt.Fprintf(w, "  wall clock   %s\n", fmtMS(s.WallMS))
-	fmt.Fprintf(w, "  ops          %d (%d bot-stage, %d sub-op, %d instant, %d counter, %d run)\n",
-		s.Ops, s.StageOps, s.SubOps, s.Instants, s.Counters, s.RunSpans)
+	fmt.Fprintf(w, "  ops          %d (%d bot-stage, %d sub-op, %d run)\n",
+		s.Ops, s.StageOps, s.SubOps, s.RunSpans)
 	fmt.Fprintf(w, "  bots traced  %d\n", s.Bots)
-	fmt.Fprintf(w, "  steals       %d\n", s.Steals)
 	fmt.Fprintf(w, "  busy (sum)   %s across shards\n", fmtMS(s.BusyMS))
 	fmt.Fprintln(w)
 	t := &Table{
@@ -37,14 +36,14 @@ func TraceSummary(w io.Writer, s trace.Summary) {
 	fmt.Fprintln(w)
 	lt := &Table{
 		Title:   "Per-shard load",
-		Headers: []string{"Shard", "Items", "Busy", "Steals From"},
+		Headers: []string{"Shard", "Items", "Busy"},
 	}
 	for _, sl := range s.ShardLoad {
 		shard := fmt.Sprintf("%d", sl.Shard)
 		if sl.Shard == trace.ControlShard {
 			shard = "control"
 		}
-		lt.AddRow(shard, fmt.Sprintf("%d", sl.Items), fmtMS(sl.BusyMS), fmt.Sprintf("%d", sl.Steals))
+		lt.AddRow(shard, fmt.Sprintf("%d", sl.Items), fmtMS(sl.BusyMS))
 	}
 	lt.Render(w)
 }

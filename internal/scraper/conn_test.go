@@ -219,77 +219,114 @@ func TestCloseIdleConnectionsClosesEveryConn(t *testing.T) {
 	}
 }
 
+// fetchResponseSeeds seeds both fetch fuzz targets: a 200 with a
+// Content-Length, a chunked 200, a 302 to itself, a truncated body, a
+// 429 with Retry-After and a garbage status line.
+var fetchResponseSeeds = []string{
+	"HTTP/1.1 200 OK\r\nContent-Length: 26\r\n\r\n<html><p>detail</p></html>",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n6\r\n<html>\r\n7\r\n</html>\r\n0\r\n\r\n",
+	"HTTP/1.1 302 Found\r\nLocation: /page\r\nContent-Length: 0\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n<html><p>trunc",
+	"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 1\r\nContent-Length: 12\r\n\r\nrate limited",
+	"HTTP/1.1 2x0 0K\r\n\r\n",
+}
+
+// oneShotClient starts a raw listener that accepts one connection, reads
+// one request, writes response, and closes the connection and itself,
+// so a retry finds nothing listening. It returns a client for the
+// listener under a 200 ms timeout; the test's cleanup closes the
+// listener and waits for its goroutine.
+func oneShotClient(t *testing.T, response []byte) *Client {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		ln.Close()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := http.ReadRequest(bufio.NewReader(conn)); err == nil {
+			conn.Write(response)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-served
+	})
+
+	c, err := NewClient(ClientConfig{
+		BaseURL: "http://" + ln.Addr().String(),
+		Timeout: 200 * time.Millisecond,
+		Obs:     obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.CloseIdleConnections)
+	return c
+}
+
+// checkFetch runs fetch and fails the test unless it returns within
+// 5 s and, when input is a well-formed 200 with a Content-Length,
+// returns exactly that body.
+func checkFetch(t *testing.T, input []byte, fetch func() (string, error)) {
+	type result struct {
+		body string
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		body, err := fetch()
+		done <- result{body, err}
+	}()
+	limit := time.NewTimer(5 * time.Second)
+	defer limit.Stop()
+	var res result
+	select {
+	case res = <-done:
+	case <-limit.C:
+		t.Fatal("the fetch did not return within 5s")
+	}
+	if want, ok := contentLengthBody(input); ok && (res.err != nil || res.body != want) {
+		t.Fatalf("a 200 with a Content-Length returned %q, %v; want %q", res.body, res.err, want)
+	}
+}
+
 // FuzzFetchResponse feeds arbitrary bytes to a fetch as the server's
-// response. A raw listener accepts one connection, reads one request,
-// writes the input and closes the connection and itself, so a retry
-// finds nothing listening. Whatever the input, GetRawContext under a
-// 200 ms timeout must return within 5 s without panicking, and a
+// response, on oneShotClient's one-shot listener. Whatever the input,
+// GetRawContext must return within 5 s without panicking, and a
 // well-formed 200 with a Content-Length must return exactly its body.
+// A failed attempt sits out the retry loop's backoff, so this target
+// runs a few inputs per second; FuzzFetchOnce spends its time on one
+// attempt.
 func FuzzFetchResponse(f *testing.F) {
-	for _, seed := range []string{
-		"HTTP/1.1 200 OK\r\nContent-Length: 26\r\n\r\n<html><p>detail</p></html>",
-		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n6\r\n<html>\r\n7\r\n</html>\r\n0\r\n\r\n",
-		"HTTP/1.1 302 Found\r\nLocation: /page\r\nContent-Length: 0\r\n\r\n",
-		"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n<html><p>trunc",
-		"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 1\r\nContent-Length: 12\r\n\r\nrate limited",
-		"HTTP/1.1 2x0 0K\r\n\r\n",
-	} {
+	for _, seed := range fetchResponseSeeds {
 		f.Add([]byte(seed))
 	}
-
 	f.Fuzz(func(t *testing.T, input []byte) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		served := make(chan struct{})
-		go func() {
-			defer close(served)
-			conn, err := ln.Accept()
-			ln.Close()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			conn.SetDeadline(time.Now().Add(5 * time.Second))
-			if _, err := http.ReadRequest(bufio.NewReader(conn)); err == nil {
-				conn.Write(input)
-			}
-		}()
-		defer func() {
-			ln.Close()
-			<-served
-		}()
+		c := oneShotClient(t, input)
+		checkFetch(t, input, func() (string, error) { return c.GetRawContext(context.Background(), "/page") })
+	})
+}
 
-		c, err := NewClient(ClientConfig{
-			BaseURL: "http://" + ln.Addr().String(),
-			Timeout: 200 * time.Millisecond,
-			Obs:     obs.NewRegistry(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.CloseIdleConnections()
-		type result struct {
-			body string
-			err  error
-		}
-		done := make(chan result, 1)
-		go func() {
-			body, err := c.GetRawContext(context.Background(), "/page")
-			done <- result{body, err}
-		}()
-		limit := time.NewTimer(5 * time.Second)
-		defer limit.Stop()
-		var res result
-		select {
-		case res = <-done:
-		case <-limit.C:
-			t.Fatal("GetRawContext did not return within 5s")
-		}
-		if want, ok := contentLengthBody(input); ok && (res.err != nil || res.body != want) {
-			t.Fatalf("a 200 with a Content-Length returned %q, %v; want %q", res.body, res.err, want)
-		}
+// FuzzFetchOnce feeds arbitrary bytes to one crawl attempt,
+// (*Client).fetchOnce, on the same one-shot listener: the exchange,
+// the status classification and the HTML parse of a 403 page, with no
+// retry and so no backoff. It holds the attempt to FuzzFetchResponse's
+// two checks.
+func FuzzFetchOnce(f *testing.F) {
+	for _, seed := range fetchResponseSeeds {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, input []byte) {
+		c := oneShotClient(t, input)
+		checkFetch(t, input, func() (string, error) { return c.fetchOnce(context.Background(), "/page") })
 	})
 }
 
